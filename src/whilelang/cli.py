@@ -2,7 +2,13 @@
 
 Subcommands: parse, check, run, trace, graph, outcomes. Exit codes are a
 total, disjoint contract: 0 success, 1 parse error, 2 type error, 3 stuck,
-4 budget exhausted or graph truncated.
+4 budget exhausted or graph truncated, 5 usage or IO error (bad arguments,
+an input or store file that cannot be read, a malformed store file, an
+`--out` file that cannot be written). Errors print one line on stderr.
+
+`graph` writes the full reduction graph; `outcomes` explores the
+partial-order reduced one, which has the same leaves, so its
+`--max-states`/`--max-depth` budgets count reduced states.
 """
 
 from __future__ import annotations
@@ -27,10 +33,31 @@ EXIT_PARSE = 1
 EXIT_TYPE = 2
 EXIT_STUCK = 3
 EXIT_BUDGET = 4
+EXIT_USAGE = 5
+
+
+class _UsageError(Exception):
+    """A bad command line or a file that cannot be read or written."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="whilelang",
         description="Parse, type-check, run, and explore While programs.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -49,8 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checked", action="store_true",
                            help="type-check before running")
         if graphish:
-            p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-            p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+            p.add_argument("--max-states", type=_budget,
+                           default=DEFAULT_MAX_STATES)
+            p.add_argument("--max-depth", type=_budget,
+                           default=DEFAULT_MAX_DEPTH)
             p.add_argument("--initial-store",
                            help="file holding a store rendering like ({a=3, b=5})")
             p.add_argument("--checked", action="store_true",
@@ -71,29 +100,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _reason(err: OSError | UnicodeError) -> str:
+    return getattr(err, "strerror", None) or str(err)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as err:
+            raise _UsageError(f"cannot write {out}: {_reason(err)}") from None
     else:
         sys.stdout.write(text)
 
 
-def _load_program(path: str):
-    return parse_program(Path(path).read_text(encoding="utf-8"))
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as err:
+        raise _UsageError(f"cannot read {path}: {_reason(err)}") from None
 
 
 def _initial_configuration(args, stmt) -> Configuration:
     store = Env()
     if getattr(args, "initial_store", None):
-        store = envmod.parse_store(
-            Path(args.initial_store).read_text(encoding="utf-8"))
+        try:
+            store = envmod.parse_store(_read(args.initial_store))
+        except ValueError as err:
+            raise _UsageError(
+                f"malformed store file {args.initial_store}: {err}") from None
     return Configuration(store, Env(), stmt)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        stmt = _load_program(args.input)
+        return _main(argv)
+    except _UsageError as err:
+        print(f"whilelang: error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _main(argv: list[str] | None) -> int:
+    args = _build_parser().parse_args(argv)
+    text = _read(args.input)
+    try:
+        stmt = parse_program(text)
     except ParseError as err:
         print(err, file=sys.stderr)
         return EXIT_PARSE
@@ -135,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
                 return EXIT_BUDGET
 
-    graph = explore(c0, max_states=args.max_states, max_depth=args.max_depth)
+    graph = explore(c0, max_states=args.max_states, max_depth=args.max_depth,
+                    reduce=args.command == "outcomes")
     if args.command == "graph":
         _emit(to_dot(graph), args.out)
         return EXIT_BUDGET if graph.truncated else EXIT_OK

@@ -4,9 +4,11 @@
 terminal, stuck, or budget-exhausted end and records the trace. `explore`
 builds the whole reduction graph over all interleavings breadth-first,
 deduplicating configurations by structural equality, so loops show up as
-cycles instead of unbounded unrolling. `outcomes` collects the graph's
-leaves, `to_dot` and `to_json_trace` serialize graph and trace in stable
-orders so identical inputs give byte-identical files.
+cycles instead of unbounded unrolling; `explore(..., reduce=True)` builds
+the partial-order reduced graph instead, which has the same leaves.
+`outcomes` collects the graph's leaves, `to_dot` and `to_json_trace`
+serialize graph and trace in stable orders so identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -95,21 +97,23 @@ class ReductionGraph:
     truncated: bool
     unexpanded: frozenset[int]
 
-    def node_index(self, c: Configuration) -> int:
-        return self.nodes.index(c)
-
-    def out_degree(self, index: int) -> int:
-        return sum(1 for src, _, _ in self.edges if src == index)
-
 
 def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
-            max_depth: int = DEFAULT_MAX_DEPTH) -> ReductionGraph:
+            max_depth: int = DEFAULT_MAX_DEPTH,
+            reduce: bool = False) -> ReductionGraph:
     """Breadth-first closure of the step relation from `c0`.
 
     Nodes are deduplicated configurations in discovery order; edges carry
     rule labels. `truncated` is set exactly when a budget cut something
     off: a new configuration was not admitted, or a node at the depth
     limit still had successors.
+
+    With `reduce`, each state is expanded by `successors(c, reduce=True)`:
+    one persistent step where there is one, all steps otherwise. The graph
+    then lacks interleavings but keeps every terminal and stuck leaf, so
+    `outcomes` of it is that of the full graph; the budgets count its
+    states and depth, so a program whose full graph would exceed them can
+    still be explored completely.
     """
     if max_states < 1 or max_depth < 1:
         raise ValueError("budgets must be at least 1")
@@ -122,7 +126,7 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
     frontier = deque([0])
     while frontier:
         src = frontier.popleft()
-        options = successors(nodes[src])
+        options = successors(nodes[src], reduce)
         if depth[src] >= max_depth:
             if options:
                 truncated = True
@@ -157,7 +161,9 @@ def outcomes(g: ReductionGraph) -> OutcomeSet:
     """Terminal values with their final stores, and stuck leaves.
 
     Nodes whose expansion a budget skipped are not leaves and contribute
-    nothing; `complete` records whether the graph covered everything.
+    nothing; `complete` records whether the graph covered everything. A
+    reduced graph (`explore(..., reduce=True)`) gives the same set as the
+    full one whenever both are complete.
     """
     has_out = {src for src, _, _ in g.edges}
     terminals = set()

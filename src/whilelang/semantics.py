@@ -20,6 +20,12 @@ the primitive expression steps carry Expr-* labels.
 Failed contractions (unbound names, redeclaration in the same scope,
 values of the wrong shape) produce no step: the configuration is stuck and
 `diagnose` reports the offending redex. There are no error transitions.
+
+`successors(c, reduce=True)` is the partial-order reduced relation used
+when only the leaves matter: it keeps a single step when that step is
+persistent (no interleaving of the other par sides can disable it or be
+affected by it), which preserves every terminal and stuck configuration
+reachable from `c` (Godefroid, LNCS 1032, 1996).
 """
 
 from __future__ import annotations
@@ -265,7 +271,89 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
     return "/".join(components), current
 
 
-def _step_and_diagnose(c: Configuration) \
+# ---------------------------------------------------------------------------
+# Persistent steps
+
+# Axioms that touch neither the stores nor an atomic region.
+_PURE_AXIOMS = frozenset({
+    "Expr-Add", "Expr-Sub", "Expr-Mul", "Expr-Eq", "Expr-Le", "Expr-And",
+    "Expr-Not", "Expr-Val", "Seq-discharge", "If-True", "If-False", "While",
+    "Begin", "Empty",
+})
+
+# Statements that may block another par side (an atomic region), run code
+# not visible in the term (a call), or change how names resolve.
+_INTERFERING = (Protect, Protected, Call, Decl, Begin, BeginScope, EndScope,
+                ProcDecl)
+
+
+def _interferes(s: Stmt, name: str | None) -> bool:
+    """Whether a par side holds an interfering statement, or any occurrence
+    of `name` when one is given (expressions are only searched then)."""
+    todo: list = [s]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _INTERFERING):
+            return True
+        match node:
+            case Seq(first, second) | Par(first, second):
+                todo += (first, second)
+            case If(cond, then_branch, else_branch):
+                todo += (then_branch, else_branch)
+                if name is not None:
+                    todo.append(cond)
+            case While(cond, body):
+                todo.append(body)
+                if name is not None:
+                    todo.append(cond)
+            case Update(target, rhs) if name is not None:
+                if target == name:
+                    return True
+                todo.append(rhs)
+            case ExprStmt(e) if name is not None:
+                todo.append(e)
+            case Var(used):
+                if used == name:
+                    return True
+            case Add() | Sub() | Mul() | Eq() | Le() | And():
+                todo += (node.left, node.right)
+            case Not(operand):
+                todo.append(operand)
+    return False
+
+
+def _persistent(ctx: EvalContext, redex: Redex, axiom: str,
+                contractum: Redex) -> bool:
+    """Whether a step that contracted `redex` under `ctx` commutes with,
+    and can neither disable nor be disabled by, every step the other par
+    sides on its path could take.
+
+    A pure step qualifies, and so does a read or update of a name that no
+    other side mentions. No other side may hold an interfering statement.
+    The step must also not bring an atomic region to the head of its own
+    side, which would block the others: only runtime-built terms hold a
+    `protected` off the head of a sequence or in a branch.
+    """
+    if axiom in _PURE_AXIOMS:
+        name = None
+    elif axiom in ("Expr-Var", "Update"):
+        name = redex.name
+    else:
+        return False
+    if protected_pred(contractum):
+        return False
+    for frame in ctx:
+        match frame:
+            case FParLeft(other) | FParRight(other):
+                if _interferes(other, name):
+                    return False
+            case FSeqHead(rest):
+                if protected_pred(rest):
+                    return False
+    return True
+
+
+def _step_and_diagnose(c: Configuration, reduce: bool = False) \
         -> tuple[list[StepResult], list[StuckInfo]]:
     results: list[StepResult] = []
     stuck: list[StuckInfo] = []
@@ -281,19 +369,27 @@ def _step_and_diagnose(c: Configuration) \
             stuck.append(failure.info)
             continue
         rule, stmt2 = _rebuild(ctx, contractum, axiom)
-        results.append(StepResult(rule, Configuration(store2, procs2, stmt2)))
+        step = StepResult(rule, Configuration(store2, procs2, stmt2))
+        if reduce and _persistent(ctx, redex, axiom, contractum):
+            return [step], stuck
+        results.append(step)
     if not results and not stuck and not is_terminal(c):
         stuck.append(StuckInfo(c.stmt, "no applicable reduction"))
     return results, stuck
 
 
-def successors(c: Configuration) -> list[StepResult]:
-    """The complete labeled set of one-step reducts of a configuration.
+def successors(c: Configuration, reduce: bool = False) -> list[StepResult]:
+    """The labeled one-step reducts of a configuration.
 
     Empty for terminal configurations, and also for stuck ones; use
-    `diagnose` to tell the two apart and name the offender.
+    `diagnose` to tell the two apart and name the offender. By default the
+    set is complete. With `reduce`, the first persistent step in
+    decomposition order is returned alone when there is one, and the
+    complete set otherwise: closing over that relation reaches every
+    terminal and stuck configuration the complete one reaches, through
+    fewer interleavings.
     """
-    return _step_and_diagnose(c)[0]
+    return _step_and_diagnose(c, reduce)[0]
 
 
 def diagnose(c: Configuration) -> StuckInfo | None:

@@ -170,6 +170,41 @@ class TestGraphAndOutcomes:
         assert "stuck: unbound variable x" in r.stdout
 
 
+class TestUsageAndIOErrors:
+    """Exit 5 with one line on stderr and no traceback."""
+
+    @staticmethod
+    def assert_usage_error(r, fragment):
+        assert r.returncode == 5
+        assert r.stdout == ""
+        assert r.stderr.count("\n") == 1
+        assert r.stderr.startswith("whilelang: error: ")
+        assert fragment in r.stderr
+
+    def test_argparse_error(self, tmp_program):
+        r = whilelang("run", tmp_program("var Nat x := 1"), "--bogus")
+        self.assert_usage_error(r, "unrecognized arguments: --bogus")
+
+    def test_missing_input_file(self, tmp_path):
+        r = whilelang("run", str(tmp_path / "absent.whl"))
+        self.assert_usage_error(r, "cannot read")
+
+    def test_malformed_store_file(self, tmp_program, store_file):
+        r = whilelang("run", tmp_program("x := 1"),
+                      "--initial-store", store_file("({x=1"))
+        self.assert_usage_error(r, "malformed store file")
+
+    def test_zero_state_budget(self, tmp_program):
+        r = whilelang("outcomes", tmp_program("var Nat x := 1"),
+                      "--max-states", "0")
+        self.assert_usage_error(r, "argument --max-states")
+
+    def test_zero_depth_budget(self, tmp_program):
+        r = whilelang("graph", tmp_program("var Nat x := 1"),
+                      "--max-depth", "0")
+        self.assert_usage_error(r, "argument --max-depth")
+
+
 class TestDeterminism:
     def test_identical_flags_identical_bytes(self, tmp_program, tmp_path):
         prog = tmp_program(

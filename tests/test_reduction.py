@@ -1,0 +1,191 @@
+"""Partial-order reduced exploration against the full reduction graph.
+
+`explore(..., reduce=True)` drops interleavings but must keep every leaf:
+wherever the full graph is complete, the reduced one is complete too and
+`outcomes` of both agree on terminals and stuck leaves.
+"""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from strategies import SEEDED_STORE, runtime_stmts
+from test_acceptance import ATOMIC_TEXT, ATOMIC_UNPROTECTED, PROTECT_RACE_TEXT
+
+from whilelang import cli
+from whilelang.env import Env, Frame, parse_store
+from whilelang.explorer import explore, outcomes
+from whilelang.parser import parse_program
+from whilelang.semantics import Configuration, successors
+from whilelang.syntax import (
+    Add, Begin, Call, Decl, Empty, If, Le, NatLit, NatV, Par, ProcDecl,
+    Protect, Protected, Seq, TypeName, Update, ValStmt, Var, While,
+)
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+
+GENERATED_SETTINGS = settings(max_examples=1000, deadline=None,
+                              derandomize=True)
+
+
+def assert_same_outcomes(c0, max_states=50_000):
+    """Compare reduced and full outcomes; False when the full graph is
+    truncated and nothing was compared."""
+    full = outcomes(explore(c0, max_states=max_states))
+    if not full.complete:
+        return False
+    reduced = outcomes(explore(c0, max_states=max_states, reduce=True))
+    assert reduced == full
+    return True
+
+
+def conf(text, store="({})"):
+    return Configuration(parse_store(store), Env(), parse_program(text))
+
+
+def test_corpus_and_counterexamples_agree():
+    paths = sorted(PROGRAMS.rglob("*.whl"))
+    assert len(paths) == 26
+    for path in paths:
+        assert assert_same_outcomes(conf(path.read_text())), path.name
+
+
+def test_atomicity_criteria_agree():
+    for text in (ATOMIC_TEXT, ATOMIC_UNPROTECTED, PROTECT_RACE_TEXT):
+        assert assert_same_outcomes(conf(text)), text
+
+
+def separate_program(n):
+    updates = ["; ".join(f"{x} := {x} + {j}" for j in range(1, n + 1))
+               for x in ("x1", "x2")]
+    return ("var Nat x1 := 0; var Nat x2 := 0; "
+            "{ { " + updates[0] + " } par { " + updates[1] + " } }")
+
+
+def test_separate_threads_exact_counts(tmp_path):
+    c0 = conf(separate_program(20))
+    assert len(explore(c0, reduce=True).nodes) == 123
+    assert len(explore(c0).nodes) == 3_723
+
+    source = tmp_path / "separate.whl"
+    source.write_text(separate_program(20))
+    dot = tmp_path / "graph.dot"
+    assert cli.main(["graph", str(source), "--out", str(dot)]) == 0
+    lines = dot.read_text().splitlines()
+    assert sum(1 for line in lines if "[label=" in line and "->" not in line) \
+        == 3_723
+
+    # The reduced graph fits a budget the full one exceeds.
+    listing = tmp_path / "outcomes.txt"
+    assert cli.main(["outcomes", str(source), "--out", str(listing),
+                     "--max-states", "200"]) == 0
+    assert listing.read_text() == ("terminal: void ({x1=210, x2=210})\n"
+                                   "complete: true\n")
+    assert cli.main(["graph", str(source), "--out", str(dot),
+                     "--max-states", "200"]) == 4
+
+
+def test_call_on_other_side_blocks_reduction():
+    # `call f` does not mention `s`, but the body it runs writes it.
+    c0 = conf("var Nat s := 0; begin proc f is s := 2 s := 1 par call f end")
+    assert assert_same_outcomes(c0)
+    assert len(outcomes(explore(c0, reduce=True)).terminals) == 2
+
+
+@pytest.mark.parametrize("head", [ValStmt(NatV(0)), Empty()],
+                         ids=["discharge", "collapse"])
+def test_region_brought_to_the_head_is_not_persistent(head):
+    # Discharging `0;`, or `ε` stepping to void, exposes an acquired region
+    # that blocks the other side: taking that step alone would lose x=6.
+    body = Update("x", Add(Var("x"), NatLit(1)))
+    stmt = Par(Seq(head, Protected(body)), Update("x", NatLit(5)))
+    c0 = Configuration(Env((Frame((("x", NatV(0)),)),)), Env(), stmt)
+    assert len(successors(c0, reduce=True)) == 2
+    assert assert_same_outcomes(c0)
+
+
+# -- generated par programs --------------------------------------------------
+#
+# Two threads, which may fork more with a nested par. Global `s` is shared,
+# `p0` and `p1` are one thread's own and so is its loop counter `ip0` or
+# `ip1`, which only counts up, so a loop runs once. `f` is declared around
+# the par when drawn and does not recurse, `g` is never declared, so calls
+# may get stuck; a declaration at the top of a thread redeclares a global
+# and gets stuck too. Blocks declare a local `t` or shadow a thread's own
+# name.
+
+SHARED = "s"
+PRIVATE = ("p0", "p1")
+
+
+def _thread(own, callees):
+    names = st.sampled_from([SHARED, own])
+    operands = st.one_of(st.builds(NatLit, st.integers(0, 2)),
+                         st.builds(Var, names))
+    exprs = st.one_of(operands, st.builds(Add, st.builds(Var, names),
+                                          st.just(NatLit(1))))
+    update = st.builds(Update, names, exprs)
+    simple = st.one_of(
+        update,
+        update,
+        st.builds(Protect, st.builds(Seq, update, update)),
+        st.builds(Protect, update),
+        st.builds(Call, st.sampled_from(callees)),
+        st.builds(Decl, st.just(TypeName.NAT),
+                  st.sampled_from([SHARED, own, "t"]), exprs),
+    )
+    counter = "i" + own
+    count_up = Update(counter, Add(Var(counter), NatLit(1)))
+
+    def extend(kids):
+        return st.one_of(
+            st.builds(Seq, kids, kids),
+            st.builds(If, st.builds(Le, operands, operands), kids, kids),
+            st.builds(lambda body: While(Le(Var(counter), NatLit(0)),
+                                         Seq(body, count_up)), kids),
+            st.builds(lambda local, body: Begin(local, (), body),
+                      st.lists(st.builds(Decl, st.just(TypeName.NAT),
+                                         st.sampled_from(["t", own]), exprs),
+                               max_size=1).map(tuple),
+                      kids),
+            st.builds(Par, kids, kids),
+        )
+    return st.recursive(simple, extend, max_leaves=2)
+
+
+THREADS = {own: _thread(own, ["f", "g"]) for own in PRIVATE}
+PROC_BODIES = _thread(SHARED, ["g"])
+
+
+@st.composite
+def par_programs(draw):
+    body = Par(draw(THREADS["p0"]), draw(THREADS["p1"]))
+    if draw(st.booleans()):
+        body = Begin((), (ProcDecl("f", draw(PROC_BODIES)),), body)
+    for name in (SHARED,) + PRIVATE:
+        body = Seq(Decl(TypeName.NAT, "i" + name, NatLit(0)), body)
+        body = Seq(Decl(TypeName.NAT, name, NatLit(0)), body)
+    return Configuration(Env(), Env(), body)
+
+
+def test_generated_par_programs_agree():
+    # A case whose full graph the budget truncates is discarded and does
+    # not count towards the 1,000.
+    @GENERATED_SETTINGS
+    @given(par_programs())
+    def check(c0):
+        assume(assert_same_outcomes(c0, max_states=200))
+
+    check()
+
+
+def test_generated_runtime_pars_agree():
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.builds(Par, runtime_stmts, runtime_stmts))
+    def check(stmt):
+        c0 = Configuration(SEEDED_STORE, Env(), stmt)
+        assume(assert_same_outcomes(c0, max_states=200))
+
+    check()
