@@ -3,9 +3,9 @@ parallelism with atomic regions, an exhaustive reduction-graph explorer,
 and a type checker that records derivations."""
 
 from .env import (
-    Env, EnvError, ProcEnv, RedeclError, ScopeError, Store, UnboundError,
-    declare_proc, declare_var, lookup_proc, lookup_var, parse_store,
-    pop_scope, push_scope, render_procs, render_store, update_var,
+    Env, EnvError, RedeclError, ScopeError, UnboundError, declare_proc,
+    declare_var, lookup_proc, lookup_var, parse_store, pop_scope, push_scope,
+    render_procs, render_store, update_var,
 )
 from .explorer import (
     BudgetExceeded, OutcomeSet, ReductionGraph, Stuck, Terminated, Trace,

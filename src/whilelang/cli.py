@@ -2,9 +2,10 @@
 
 Subcommands: parse, check, run, trace, graph, outcomes. Exit codes are a
 total, disjoint contract: 0 success, 1 parse error, 2 type error, 3 stuck,
-4 budget exhausted or graph truncated, 5 usage or IO error (bad arguments,
-an input or store file that cannot be read, a malformed store file, an
-`--out` file that cannot be written). Errors print one line on stderr.
+4 budget exhausted or graph truncated, or a term nested deeper than the
+recursion limit, 5 usage or IO error (bad arguments, an input or store file
+that cannot be read, a malformed store file, an `--out` file that cannot be
+written). Errors print one line on stderr.
 
 `graph` writes the full reduction graph; `outcomes` explores the
 partial-order reduced one, which has the same leaves, so its
@@ -71,19 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="first")
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-            p.add_argument("--initial-store",
-                           help="file holding a store rendering like ({a=3, b=5})")
-            p.add_argument("--checked", action="store_true",
-                           help="type-check before running")
         if graphish:
             p.add_argument("--max-states", type=_budget,
                            default=DEFAULT_MAX_STATES)
             p.add_argument("--max-depth", type=_budget,
                            default=DEFAULT_MAX_DEPTH)
+        if runner or graphish:
             p.add_argument("--initial-store",
                            help="file holding a store rendering like ({a=3, b=5})")
             p.add_argument("--checked", action="store_true",
-                           help="type-check before exploring")
+                           help="type-check before executing")
 
     common(sub.add_parser("parse", help="parse and pretty-print"))
     check = sub.add_parser("check", help="type-check")
@@ -138,6 +136,13 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as err:
         print(f"whilelang: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # The parser, printer, hashing and semantics recurse on the term,
+        # so nesting is bounded by the recursion limit, like steps and
+        # states by their budgets.
+        print("whilelang: error: term nesting exceeds the recursion limit",
+              file=sys.stderr)
+        return EXIT_BUDGET
 
 
 def _main(argv: list[str] | None) -> int:

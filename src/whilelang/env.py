@@ -66,10 +66,6 @@ class Env:
         return len(self.frames)
 
 
-Store = Env
-ProcEnv = Env
-
-
 def push_scope(store: Env, procs: Env) -> tuple[Env, Env]:
     """Open a new empty level on both stores."""
     return (Env(store.frames + (Frame(),)), Env(procs.frames + (Frame(),)))

@@ -23,7 +23,7 @@ from .env import render_procs, render_store
 from .semantics import (
     Configuration, StuckInfo, diagnose, is_terminal, successors,
 )
-from .syntax import Redex, Value, pretty, pretty_expr, value_text
+from .syntax import Printer, Redex, Value, pretty, pretty_expr, value_text
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_STATES = 50_000
@@ -188,11 +188,17 @@ def _dot_escape(text: str) -> str:
 
 def to_dot(g: ReductionGraph) -> str:
     """Graphviz rendering: node labels show statement and store, edges the
-    rule path; the root is outlined bold. Discovery order throughout."""
+    rule path; the root is outlined bold. Discovery order throughout.
+
+    The labels are printed in that order through one `Printer`, so a
+    subterm shared by neighbouring nodes is printed once; the text is the
+    same as `pretty` of each node gives."""
+    printer = Printer()
     lines = ["digraph reduction {"]
     for i, node in enumerate(g.nodes):
-        label = (_dot_escape(pretty(node.stmt)) + "\\n"
+        label = (_dot_escape(printer.stmt(node.stmt)) + "\\n"
                  + _dot_escape(render_store(node.store)))
+        printer.advance()
         style = ", penwidth=2" if i == 0 else ""
         lines.append(f'  n{i} [label="{label}"{style}];')
     for src, rule, dst in g.edges:
@@ -220,15 +226,28 @@ def _render_redex(at: Redex) -> str:
 
 
 def to_json_trace(t: Trace) -> str:
-    """One JSON object per step plus a final status line."""
+    """One JSON object per step plus a final status line.
+
+    Consecutive configurations share most of their nodes, so the statements
+    are printed in order through one `Printer`, which prints a shared
+    subterm once, and a store or procedure store that is the same object as
+    the step before's is not rendered again. The text is the same as
+    `pretty`, `render_store` and `render_procs` of each step give."""
+    printer = Printer()
+    store = procs = None
     lines = []
     for n, (rule, conf) in enumerate(t.steps, start=1):
+        if conf.store is not store:
+            store, store_text = conf.store, render_store(conf.store)
+        if conf.procs is not procs:
+            procs, procs_text = conf.procs, render_procs(conf.procs)
         lines.append(json.dumps({
             "step": n,
             "rule": rule,
-            "stmt": pretty(conf.stmt),
-            "store": render_store(conf.store),
-            "procs": render_procs(conf.procs),
+            "stmt": printer.stmt(conf.stmt),
+            "store": store_text,
+            "procs": procs_text,
         }))
+        printer.advance()
     lines.append(json.dumps(_status_line(t)))
     return "\n".join(lines) + "\n"

@@ -355,7 +355,9 @@ def _persistent(ctx: EvalContext, redex: Redex, axiom: str,
 
 def _step_and_diagnose(c: Configuration, reduce: bool = False) \
         -> tuple[list[StepResult], list[StuckInfo]]:
-    results: list[StepResult] = []
+    # Every redex is contracted before any is rebuilt, so that a reduced
+    # step rebuilds only the step it keeps.
+    contracted = []
     stuck: list[StuckInfo] = []
     for ctx, redex in decompose(c.stmt):
         try:
@@ -368,11 +370,15 @@ def _step_and_diagnose(c: Configuration, reduce: bool = False) \
         except _StuckRedex as failure:
             stuck.append(failure.info)
             continue
-        rule, stmt2 = _rebuild(ctx, contractum, axiom)
-        step = StepResult(rule, Configuration(store2, procs2, stmt2))
+        step = (ctx, contractum, axiom, store2, procs2)
         if reduce and _persistent(ctx, redex, axiom, contractum):
-            return [step], stuck
-        results.append(step)
+            contracted = [step]
+            break
+        contracted.append(step)
+    results = []
+    for ctx, contractum, axiom, store2, procs2 in contracted:
+        rule, stmt2 = _rebuild(ctx, contractum, axiom)
+        results.append(StepResult(rule, Configuration(store2, procs2, stmt2)))
     if not results and not stuck and not is_terminal(c):
         stuck.append(StuckInfo(c.stmt, "no applicable reduction"))
     return results, stuck

@@ -335,71 +335,100 @@ _SIMPLE_LEVEL = 2
 
 def pretty(s: Stmt) -> str:
     """Canonical concrete syntax for a statement, runtime forms included."""
-    return _pp_stmt(s, _PAR_LEVEL)
+    return Printer().stmt(s)
 
 
 def pretty_expr(e: Expr) -> str:
     return _pp_expr(e, 0)
 
 
-def _braced(s: Stmt) -> str:
-    return "{ " + _pp_stmt(s, _PAR_LEVEL) + " }"
+class Printer:
+    """`pretty` for a series of statements that share subterms, such as the
+    configurations of a trace: each shared node is printed once.
 
+    Texts are memoized by node identity, never by structural hash, which
+    would walk the whole term again. Each entry holds its node, so no other
+    object can take the node's id while the entry lives. A `Par` or `Seq`
+    is stored without its braces, which depend only on the caller's level,
+    so one entry serves every level. `advance()` ends one statement of the
+    series and drops every entry that neither it nor the statement before
+    touched, so the memo holds about two statements' nodes.
+    """
 
-def _pp_stmt(s: Stmt, level: int) -> str:
-    match s:
-        case Par(left, right):
-            text = f"{_pp_stmt(left, _PAR_LEVEL)} par {_pp_stmt(right, _SEQ_LEVEL)}"
-            return _braced(s) if level > _PAR_LEVEL else text
-        case Seq(first, second):
-            text = f"{_pp_stmt(first, _SIMPLE_LEVEL)}; {_pp_stmt(second, _SEQ_LEVEL)}"
-            return _braced(s) if level > _SEQ_LEVEL else text
-        case If(cond, then_branch, else_branch):
-            return (
-                f"if {_pp_expr(cond, 0)} then {_pp_stmt(then_branch, _SIMPLE_LEVEL)}"
-                f" else {_pp_stmt(else_branch, _SIMPLE_LEVEL)}"
-            )
-        case While(cond, body):
-            return f"while {_pp_expr(cond, 0)} do {_pp_stmt(body, _SIMPLE_LEVEL)}"
-        case Decl(t, name, rhs):
-            return f"var {t} {name} := {_pp_expr(rhs, 0)}"
-        case Update(name, rhs):
-            return f"{name} := {_pp_expr(rhs, 0)}"
-        case ProcDecl(name, body):
-            return f"proc {name} is {_pp_stmt(body, _SIMPLE_LEVEL)}"
-        case Begin():
-            return _pp_begin(s)
-        case Call(name):
-            return f"call {name}"
-        case Protect(body):
-            return f"protect {_pp_stmt(body, _PAR_LEVEL)} end"
-        case Protected(body):
-            return f"protected {_pp_stmt(body, _PAR_LEVEL)} end"
-        case BeginScope():
-            return "beginscope"
-        case EndScope():
-            return "endscope"
-        case ExprStmt(e):
-            return _pp_expr(e, 0)
-        case ValStmt(v):
-            return value_text(v)
-        case Empty():
-            return "ε"
-    raise TypeError(f"not a statement: {s!r}")
+    def __init__(self) -> None:
+        self._current: dict[int, tuple[Stmt, str]] = {}
+        self._previous: dict[int, tuple[Stmt, str]] = {}
 
+    def stmt(self, s: Stmt) -> str:
+        return self._pp_stmt(s, _PAR_LEVEL)
 
-def _pp_begin(s: Begin) -> str:
-    # The declaration sections are read greedily, so a body whose leading
-    # statement is a declaration must be braced or it would be absorbed
-    # into the section before it on re-parse.
-    body = s.body
-    body_text = _pp_stmt(body, _SEQ_LEVEL)
-    if not s.procs and isinstance(body, Seq) and isinstance(body.first, Decl):
-        body_text = _braced(body)
-    items = [_pp_stmt(d, _SIMPLE_LEVEL) for d in s.decls]
-    items += [_pp_stmt(p, _SIMPLE_LEVEL) for p in s.procs]
-    items.append(body_text)
-    return "begin " + "; ".join(items) + " end"
+    def advance(self) -> None:
+        self._previous = self._current
+        self._current = {}
+
+    def _pp_stmt(self, s: Stmt, level: int) -> str:
+        # Built inline rather than in a helper, so that each level of
+        # nesting costs one stack frame.
+        key = id(s)
+        entry = self._current.get(key) or self._previous.get(key)
+        if entry is None:
+            pp = self._pp_stmt
+            match s:
+                case Par(left, right):
+                    text = f"{pp(left, _PAR_LEVEL)} par {pp(right, _SEQ_LEVEL)}"
+                case Seq(first, second):
+                    text = f"{pp(first, _SIMPLE_LEVEL)}; {pp(second, _SEQ_LEVEL)}"
+                case If(cond, then_branch, else_branch):
+                    text = (f"if {_pp_expr(cond, 0)} then {pp(then_branch, _SIMPLE_LEVEL)}"
+                            f" else {pp(else_branch, _SIMPLE_LEVEL)}")
+                case While(cond, body):
+                    text = f"while {_pp_expr(cond, 0)} do {pp(body, _SIMPLE_LEVEL)}"
+                case Decl(t, name, rhs):
+                    text = f"var {t} {name} := {_pp_expr(rhs, 0)}"
+                case Update(name, rhs):
+                    text = f"{name} := {_pp_expr(rhs, 0)}"
+                case ProcDecl(name, body):
+                    text = f"proc {name} is {pp(body, _SIMPLE_LEVEL)}"
+                case Begin():
+                    text = self._pp_begin(s)
+                case Call(name):
+                    text = f"call {name}"
+                case Protect(body):
+                    text = f"protect {pp(body, _PAR_LEVEL)} end"
+                case Protected(body):
+                    text = f"protected {pp(body, _PAR_LEVEL)} end"
+                case BeginScope():
+                    text = "beginscope"
+                case EndScope():
+                    text = "endscope"
+                case ExprStmt(e):
+                    text = _pp_expr(e, 0)
+                case ValStmt(v):
+                    text = value_text(v)
+                case Empty():
+                    text = "ε"
+                case _:
+                    raise TypeError(f"not a statement: {s!r}")
+            entry = (s, text)
+        self._current[key] = entry
+        text = entry[1]
+        if isinstance(s, Par) and level > _PAR_LEVEL or \
+                isinstance(s, Seq) and level > _SEQ_LEVEL:
+            return "{ " + text + " }"
+        return text
+
+    def _pp_begin(self, s: Begin) -> str:
+        # The declaration sections are read greedily, so a body whose leading
+        # statement is a declaration must be braced or it would be absorbed
+        # into the section before it on re-parse.
+        body = s.body
+        body_text = self._pp_stmt(body, _SEQ_LEVEL)
+        if not s.procs and isinstance(body, Seq) and isinstance(body.first, Decl):
+            body_text = "{ " + body_text + " }"
+        items = [self._pp_stmt(d, _SIMPLE_LEVEL) for d in s.decls]
+        items += [self._pp_stmt(p, _SIMPLE_LEVEL) for p in s.procs]
+        items.append(body_text)
+        return "begin " + "; ".join(items) + " end"
 
 
 # Expression precedence levels, loosest binding first.
@@ -541,8 +570,6 @@ def hole_class(ctx: EvalContext) -> Hole:
                 return Hole.ARITH if node in _ARITH_OPS else Hole.BOOL
             case FNot() | FIfCond():
                 return Hole.BOOL
-            case FDeclRhs() | FUpdateRhs() | FExprStmt():
-                return Hole.ANY
             case _:
                 return Hole.ANY
     return Hole.ANY

@@ -1,5 +1,6 @@
 """End-to-end command-line runs via subprocess."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -205,7 +206,46 @@ class TestUsageAndIOErrors:
         self.assert_usage_error(r, "argument --max-depth")
 
 
+class TestRunawayNesting:
+    """Exit 4 with one line on stderr and no traceback."""
+
+    # Each call wraps the next `call p` in one more region, so the term
+    # grows until walking it exceeds the recursion limit.
+    RUNAWAY = "var Nat a := 0; begin proc p is protect call p end; call p end"
+
+    @pytest.mark.parametrize("command", ["outcomes", "run"])
+    def test_recursion_limit_is_exit_4(self, tmp_program, command):
+        r = whilelang(command, tmp_program(self.RUNAWAY))
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert r.stderr == (
+            "whilelang: error: term nesting exceeds the recursion limit\n")
+
+
 class TestDeterminism:
+    # sha256 of each artifact as whilelang wrote it before the printer shared
+    # subterms across configurations: a byte that changes shows here, while
+    # criterion 7 compares only reruns of one build.
+    GOLDENS = [
+        ("trace", "programs/nested_loops.whl",
+         "24c2028ddc44ac225bfbdfcc16627dccbab27b124252382b1f1be97695885624"),
+        ("trace", "programs/proc_updates_caller.whl",
+         "29574cd5c652b9700f1fd80889b53a5b9c9a45a9d8f3ab4431b118877b42990e"),
+        ("graph", None,
+         "91a065b01d5dcb46cc91a6f389aa24c52b24d768f2b9a9b73d90471ea6a7a9b7"),
+    ]
+
+    @pytest.mark.parametrize("command, program, digest", GOLDENS)
+    def test_artifact_bytes_match_golden(self, tmp_program, tmp_path,
+                                         command, program, digest):
+        # No program file means the criterion 3 program.
+        path = program or tmp_program(
+            "var Nat x := 0; { protect x := x + 1; x := x * 2 end } par x := 10")
+        out = tmp_path / "artifact"
+        r = whilelang(command, path, "--out", str(out))
+        assert r.returncode == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_identical_flags_identical_bytes(self, tmp_program, tmp_path):
         prog = tmp_program(
             "var Nat x := 0; { protect x := x + 1; x := x * 2 end } par x := 10")

@@ -1,15 +1,18 @@
 """Traces, reduction graphs, outcome sets, and their serializations."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dfs_reachable_renderings, render_config
-from strategies import SEEDED_STORE, names, parfree_source_stmts
+from strategies import (
+    SEEDED_STORE, names, parfree_source_stmts, runtime_stmts,
+)
 
-from whilelang.env import Env, Frame, parse_store, render_store
+from whilelang.env import Env, Frame, parse_store, render_procs, render_store
 from whilelang.explorer import (
     BudgetExceeded, Stuck, Terminated, explore, outcomes, run, to_dot,
     to_json_trace,
@@ -17,8 +20,10 @@ from whilelang.explorer import (
 from whilelang.parser import parse_program
 from whilelang.semantics import Configuration
 from whilelang.syntax import (
-    NatLit, NatV, Par, Seq, Update, ValStmt, VoidV, pretty,
+    Empty, NatLit, NatV, Par, Printer, Seq, Update, ValStmt, VoidV, pretty,
 )
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 VOID = ValStmt(VoidV())
 
@@ -239,6 +244,76 @@ class TestDeterminism:
         assert to_json_trace(run(c)) == to_json_trace(run(c))
         assert to_json_trace(run(c, schedule="random", seed=3)) == \
             to_json_trace(run(c, schedule="random", seed=3))
+
+
+def _plain_trace_lines(t):
+    """The step lines of `to_json_trace(t)`, each printed on its own."""
+    return [json.dumps({"step": n, "rule": rule, "stmt": pretty(c.stmt),
+                        "store": render_store(c.store),
+                        "procs": render_procs(c.procs)})
+            for n, (rule, c) in enumerate(t.steps, start=1)]
+
+
+def _plain_dot_node_lines(g):
+    """The node lines of `to_dot(g)`, each label printed on its own."""
+    def escape(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+    return [f'  n{i} [label="{escape(pretty(c.stmt))}\\n'
+            f'{escape(render_store(c.store))}"{", penwidth=2" if i == 0 else ""}];'
+            for i, c in enumerate(g.nodes)]
+
+
+def _assert_exports_match_plain_printing(c, max_steps, max_states):
+    t = run(c, max_steps=max_steps)
+    assert to_json_trace(t).splitlines()[:-1] == _plain_trace_lines(t)
+    g = explore(c, max_states=max_states)
+    lines = to_dot(g).splitlines()
+    assert lines[1:1 + len(g.nodes)] == _plain_dot_node_lines(g)
+
+
+class TestSharedSubtermPrinting:
+    """The exporters print consecutive configurations through one memo;
+    every line must equal printing its configuration alone."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(PROGRAMS.glob("**/*.whl")),
+        ids=lambda p: str(p.relative_to(PROGRAMS)))
+    def test_corpus_traces_and_graphs(self, path):
+        c = Configuration(Env(), Env(),
+                          parse_program(path.read_text(encoding="utf-8")))
+        _assert_exports_match_plain_printing(c, 10_000, 5_000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runtime_stmts)
+    def test_runtime_statements(self, stmt):
+        c = Configuration(SEEDED_STORE, Env(), stmt)
+        _assert_exports_match_plain_printing(c, 200, 200)
+
+    def test_one_node_at_two_levels(self):
+        # The same Seq and Par objects appear bare and braced, in one
+        # statement and across statements printed through one memo.
+        seq = Seq(Update("x", NatLit(1)), Update("y", NatLit(2)))
+        par = Par(Update("z", NatLit(3)), seq)
+        printer = Printer()
+        assert printer.stmt(par) == "z := 3 par x := 1; y := 2"
+        assert printer.stmt(seq) == "x := 1; y := 2"
+        printer.advance()
+        assert printer.stmt(Seq(seq, seq)) == "{ x := 1; y := 2 }; x := 1; y := 2"
+        assert printer.stmt(Par(par, par)) == \
+            "z := 3 par x := 1; y := 2 par { z := 3 par x := 1; y := 2 }"
+        printer.advance()
+        assert printer.stmt(par) == "z := 3 par x := 1; y := 2"
+
+    @pytest.mark.parametrize("advance", [False, True])
+    def test_dropped_statements_do_not_alias(self, advance):
+        # Each statement is freed once printed, so a new one may be built at
+        # the same address; the memo must not hand it the old text.
+        printer = Printer()
+        for n in range(200):
+            text = printer.stmt(Seq(Update("x", NatLit(n)), Empty()))
+            assert text == f"x := {n}; ε"
+            if advance:
+                printer.advance()
 
 
 class TestAtomicityWindows:

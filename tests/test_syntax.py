@@ -185,6 +185,14 @@ class TestPretty:
     def test_expressions(self, expr, text):
         assert pretty_expr(expr) == text
 
+    def test_nested_braces_print_in_linear_time(self):
+        # Each braced node is printed once, not once bare and once braced,
+        # which would take time exponential in the nesting depth.
+        stmt = Update("a", NatLit(0))
+        for _ in range(200):
+            stmt = Par(Update("a", NatLit(1)), stmt)
+        assert pretty(stmt) == "a := 1 par { " * 199 + "a := 1 par a := 0" + " }" * 199
+
     def test_begin_body_leading_decl_is_braced(self):
         block = Begin((), (), Seq(Decl(NAT, "x", NatLit(1)),
                                   Update("x", NatLit(2))))
