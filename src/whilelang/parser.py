@@ -9,14 +9,16 @@ Statement grammar, loosest operator first:
               | 'if' expr 'then' simple 'else' simple
               | 'while' expr 'do' simple
               | 'begin' decls procs body 'end'
-              | 'proc' NAME 'is' simple           -- only legal inside begin
               | 'call' NAME
               | 'protect' stmt 'end'
               | '{' stmt '}'
+    proc    ::= 'proc' NAME 'is' simple
 
 Inside a begin block the variable-declaration and procedure-declaration
 sections are read greedily, with ';' optional at the section boundaries;
 when every item turns out to be a declaration, the last one is the body.
+A procedure declaration is accepted only in a block's procedure section;
+the grammar rejects it anywhere else, reporting it at its 'proc' token.
 
 Expressions: and < (= | <=) < (+ | -) < * < not < atom, with 'and' right-
 associative and '+'/'-'/'*' left-associative. '=' and '<=' take arithmetic
@@ -141,6 +143,8 @@ def tokenize(source: str) -> list[Token]:
 @dataclass(frozen=True)
 class _RNum:
     n: int
+    line: int
+    column: int
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,8 @@ class _RVar:
 @dataclass(frozen=True)
 class _RBool:
     value: bool
+    line: int
+    column: int
 
 
 @dataclass(frozen=True)
@@ -213,7 +219,6 @@ class _Parser:
         stmt = self.parse_stmt()
         if not self.at("eof"):
             self.fail(frozenset({";", "par", "end of input"}))
-        self.check_proc_placement(stmt, allowed=False)
         return stmt
 
     def parse_stmt(self) -> Stmt:
@@ -251,7 +256,10 @@ class _Parser:
                 case "begin":
                     return self.parse_begin()
                 case "proc":
-                    return self.parse_proc()
+                    name = self.parse_proc().name
+                    raise ParseError(
+                        f"procedure declaration {name!r} outside a begin block",
+                        tok.line, tok.column)
                 case "call":
                     self.advance()
                     return Call(self.expect("ident").text)
@@ -314,31 +322,6 @@ class _Parser:
         self.expect("keyword", "end")
         return Begin(tuple(decls), tuple(procs), body)
 
-    def check_proc_placement(self, s: Stmt, allowed: bool) -> None:
-        # `proc p is S` parses anywhere a simple statement does, but it is
-        # only grammatical as a begin block's procedure section.
-        match s:
-            case ProcDecl(name, body):
-                if not allowed:
-                    raise ParseError(
-                        f"procedure declaration {name!r} outside a begin block",
-                        1, 1, frozenset())
-                self.check_proc_placement(body, allowed=False)
-            case Seq(a, b) | Par(a, b):
-                self.check_proc_placement(a, allowed=False)
-                self.check_proc_placement(b, allowed=False)
-            case If(_, a, b):
-                self.check_proc_placement(a, allowed=False)
-                self.check_proc_placement(b, allowed=False)
-            case While(_, body) | Protect(body):
-                self.check_proc_placement(body, allowed=False)
-            case Begin(_, procs, body):
-                for p in procs:
-                    self.check_proc_placement(p, allowed=True)
-                self.check_proc_placement(body, allowed=False)
-            case _:
-                pass
-
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
@@ -389,13 +372,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return _RNum(int(tok.text))
+            return _RNum(int(tok.text), tok.line, tok.column)
         if tok.kind == "ident":
             self.advance()
             return _RVar(tok.text)
         if tok.kind == "keyword" and tok.text in ("true", "false"):
             self.advance()
-            return _RBool(tok.text == "true")
+            return _RBool(tok.text == "true", tok.line, tok.column)
         if tok.kind == "symbol" and tok.text == "(":
             self.advance()
             inner = self.parse_raw_and()
@@ -411,12 +394,10 @@ class _Parser:
                 return Var(name)
             case _RBin(op, left, right, _, _) if op in _ARITH_NODES:
                 return _ARITH_NODES[op](self.to_aexp(left), self.to_aexp(right))
-            case _RBin(_, _, _, line, column) | _RNot(_, line, column):
+            case _RBin(_, _, _, line, column) | _RNot(_, line, column) | \
+                    _RBool(_, line, column):
                 raise ParseError("boolean expression in arithmetic position",
                                  line, column)
-            case _RBool(_):
-                raise ParseError("boolean expression in arithmetic position",
-                                 self.peek().line, self.peek().column)
         raise AssertionError(raw)
 
     def to_bexp(self, raw: _Raw) -> Expr:
@@ -431,12 +412,9 @@ class _Parser:
                 return _CMP_NODES[op](self.to_aexp(left), self.to_aexp(right))
             case _RNot(operand, _, _):
                 return Not(self.to_bexp(operand))
-            case _RBin(_, _, _, line, column):
+            case _RBin(_, _, _, line, column) | _RNum(_, line, column):
                 raise ParseError("arithmetic expression in boolean position",
                                  line, column)
-            case _RNum(_):
-                raise ParseError("arithmetic expression in boolean position",
-                                 self.peek().line, self.peek().column)
         raise AssertionError(raw)
 
 

@@ -39,16 +39,11 @@ from .syntax import (
     Expr, ExprStmt, FParLeft, FParRight, FSeqHead, FalseLit, FalseV, Hole,
     If, Le, Mul, NatLit, NatV, Not, Par, ProcDecl, Protect, Protected, Redex,
     Seq, Stmt, Sub, TRUE, FALSE, TrueLit, TrueV, Update, ValStmt, Var,
-    VOID_STMT, While, decompose, decompose_expr, hole_class, is_value_expr,
-    plug_frame, expr_value, protected_pred,
+    VOID_STMT, While, decompose, hole_class, plug_frame, expr_value,
+    protected_pred,
 )
 
 _EXPR_REDEXES = (Var, Add, Sub, Mul, Eq, Le, And, Not)
-
-__all__ = [
-    "Configuration", "StepResult", "StuckInfo", "protected_pred",
-    "eval_expr_step", "successors", "is_terminal", "diagnose",
-]
 
 
 @dataclass(frozen=True)
@@ -105,27 +100,25 @@ def _nat_operands(redex: Expr) -> tuple[int, int]:
     raise _StuckRedex(redex, "operand of wrong shape")
 
 
+# Each binary operator on numerals: its axiom and the literal it yields.
+_NAT_AXIOMS = {
+    Add: ("Expr-Add", lambda a, b: NatLit(a + b)),
+    Sub: ("Expr-Sub", lambda a, b: NatLit(max(0, a - b))),
+    Mul: ("Expr-Mul", lambda a, b: NatLit(a * b)),
+    Eq: ("Expr-Eq", lambda a, b: TRUE if a == b else FALSE),
+    Le: ("Expr-Le", lambda a, b: TRUE if a <= b else FALSE),
+}
+
+
 def contract_expr(store: Env, redex: Expr, hole: Hole) -> tuple[str, Expr]:
     """Contract an expression redex; subtraction is monus, conjunction is
     strict in both operands."""
     match redex:
         case Var(_):
             return "Expr-Var", _resolve_var(store, redex, hole)
-        case Add(_, _):
-            a, b = _nat_operands(redex)
-            return "Expr-Add", NatLit(a + b)
-        case Sub(_, _):
-            a, b = _nat_operands(redex)
-            return "Expr-Sub", NatLit(max(0, a - b))
-        case Mul(_, _):
-            a, b = _nat_operands(redex)
-            return "Expr-Mul", NatLit(a * b)
-        case Eq(_, _):
-            a, b = _nat_operands(redex)
-            return "Expr-Eq", TRUE if a == b else FALSE
-        case Le(_, _):
-            a, b = _nat_operands(redex)
-            return "Expr-Le", TRUE if a <= b else FALSE
+        case Add() | Sub() | Mul() | Eq() | Le():
+            axiom, op = _NAT_AXIOMS[type(redex)]
+            return axiom, op(*_nat_operands(redex))
         case And(left, right):
             if isinstance(left, (TrueLit, FalseLit)) and \
                     isinstance(right, (TrueLit, FalseLit)):
@@ -137,26 +130,6 @@ def contract_expr(store: Env, redex: Expr, hole: Hole) -> tuple[str, Expr]:
                 return "Expr-Not", FALSE if isinstance(operand, TrueLit) else TRUE
             raise _StuckRedex(redex, "operand of wrong shape")
     raise TypeError(f"not an expression redex: {redex!r}")
-
-
-def eval_expr_step(store: Env, e: Expr, hole: Hole = Hole.ANY):
-    """One small step of an expression under `store`.
-
-    Returns (label, expression) or None when `e` already is a value;
-    raises nothing on stuck expressions, returning the StuckInfo instead.
-    """
-    if is_value_expr(e):
-        return None
-    (ctx, redex), = decompose_expr(e)
-    effective = hole_class(ctx) if ctx else hole
-    try:
-        label, contractum = contract_expr(store, redex, effective)
-    except _StuckRedex as stuck:
-        return stuck.info
-    rebuilt = contractum
-    for frame in reversed(ctx):
-        rebuilt = plug_frame(frame, rebuilt)
-    return label, rebuilt
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ TRUE = TrueLit()
 FALSE = FalseLit()
 
 
-def is_value_expr(e: Expr) -> bool:
+def is_literal(e: Expr) -> bool:
     """Literals are the expression normal forms; variables are not."""
     return isinstance(e, (NatLit, TrueLit, FalseLit))
 
@@ -160,18 +160,6 @@ def expr_value(e: Expr) -> Value:
         case FalseLit():
             return FalseV()
     raise ValueError(f"not a value expression: {e!r}")
-
-
-def value_expr(v: Value) -> Expr:
-    """Inject a value back into expression syntax. Void has no expression form."""
-    match v:
-        case NatV(n):
-            return NatLit(n)
-        case TrueV():
-            return TRUE
-        case FalseV():
-            return FALSE
-    raise ValueError(f"no expression form for {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +372,7 @@ class Printer:
                 case While(cond, body):
                     text = f"while {_pp_expr(cond, 0)} do {pp(body, _SIMPLE_LEVEL)}"
                 case Decl(t, name, rhs):
-                    text = f"var {t} {name} := {_pp_expr(rhs, 0)}"
+                    text = f"var {t.value} {name} := {_pp_expr(rhs, 0)}"
                 case Update(name, rhs):
                     text = f"{name} := {_pp_expr(rhs, 0)}"
                 case ProcDecl(name, body):
@@ -622,28 +610,28 @@ def _decompose_stmt(s: Stmt, path: list[Frame],
                 out.append((tuple(path), s))
             else:
                 path.append(FIfCond(then_branch, else_branch))
-                _decompose_expr(cond, path, out)
+                _decompose_exp(cond, path, out)
                 path.pop()
         case Decl(t, name, rhs):
-            if is_value_expr(rhs):
+            if is_literal(rhs):
                 out.append((tuple(path), s))
             else:
                 path.append(FDeclRhs(t, name))
-                _decompose_expr(rhs, path, out)
+                _decompose_exp(rhs, path, out)
                 path.pop()
         case Update(name, rhs):
-            if is_value_expr(rhs):
+            if is_literal(rhs):
                 out.append((tuple(path), s))
             else:
                 path.append(FUpdateRhs(name))
-                _decompose_expr(rhs, path, out)
+                _decompose_exp(rhs, path, out)
                 path.pop()
         case ExprStmt(e):
-            if is_value_expr(e):
+            if is_literal(e):
                 out.append((tuple(path), s))
             else:
                 path.append(FExprStmt())
-                _decompose_expr(e, path, out)
+                _decompose_exp(e, path, out)
                 path.pop()
         case While() | Begin() | Call() | Protect() | ProcDecl() | \
                 BeginScope() | EndScope() | Empty():
@@ -652,41 +640,34 @@ def _decompose_stmt(s: Stmt, path: list[Frame],
             raise TypeError(f"not a statement: {s!r}")
 
 
-def _decompose_expr(e: Expr, path: list[Frame],
-                    out: list[tuple[EvalContext, Redex]]) -> None:
-    if is_value_expr(e):
+def _decompose_exp(e: Expr, path: list[Frame],
+                   out: list[tuple[EvalContext, Redex]]) -> None:
+    if is_literal(e):
         return
     match e:
         case Var(_):
             out.append((tuple(path), e))
         case Not(operand):
-            if is_value_expr(operand):
+            if is_literal(operand):
                 out.append((tuple(path), e))
             else:
                 path.append(FNot())
-                _decompose_expr(operand, path, out)
+                _decompose_exp(operand, path, out)
                 path.pop()
         case Add() | Sub() | Mul() | Eq() | Le() | And():
             left, right = e.left, e.right
-            if not is_value_expr(left):
+            if not is_literal(left):
                 path.append(FBinLeft(type(e), right))
-                _decompose_expr(left, path, out)
+                _decompose_exp(left, path, out)
                 path.pop()
-            elif not is_value_expr(right):
+            elif not is_literal(right):
                 path.append(FBinRight(type(e), left))
-                _decompose_expr(right, path, out)
+                _decompose_exp(right, path, out)
                 path.pop()
             else:
                 out.append((tuple(path), e))
         case _:
             raise TypeError(f"not an expression: {e!r}")
-
-
-def decompose_expr(e: Expr) -> list[tuple[EvalContext, Redex]]:
-    """Decomposition of a bare expression; at most one redex exists."""
-    out: list[tuple[EvalContext, Redex]] = []
-    _decompose_expr(e, [], out)
-    return out
 
 
 def plug(ctx: EvalContext, filled: Redex) -> Stmt:

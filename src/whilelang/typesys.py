@@ -50,7 +50,7 @@ class TypeEnv:
         return self.bindings == other.bindings[:len(self.bindings)]
 
     def render(self) -> str:
-        return "{" + ", ".join(f"{k}={t}" for k, t in self.bindings) + "}"
+        return "{" + ", ".join(f"{k}={t.value}" for k, t in self.bindings) + "}"
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,17 @@ def _mismatch(rule: str, location: Redex, expected: TypeName,
     return TypeCheckError(rule, location, f"expected {expected}, found {found}")
 
 
+# Each binary operator: its rule, the type of both operands, its own type.
+_BINARY_RULES = {
+    Add: ("T-Add", TypeName.NAT, TypeName.NAT),
+    Sub: ("T-Sub", TypeName.NAT, TypeName.NAT),
+    Mul: ("T-Mult", TypeName.NAT, TypeName.NAT),
+    Eq: ("T-Equal", TypeName.NAT, TypeName.BOOL),
+    Le: ("T-LEqual", TypeName.NAT, TypeName.BOOL),
+    And: ("T-And", TypeName.BOOL, TypeName.BOOL),
+}
+
+
 def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
     """Expression judgment; output environments always equal the inputs."""
 
@@ -149,30 +160,10 @@ def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
             if t is None:
                 raise TypeCheckError("T-Var", e, "unbound variable")
             return axiom("T-Var", t)
-        case Add(a, b):
-            return axiom("T-Add", TypeName.NAT,
-                         (operand("T-Add", a, TypeName.NAT),
-                          operand("T-Add", b, TypeName.NAT)))
-        case Sub(a, b):
-            return axiom("T-Sub", TypeName.NAT,
-                         (operand("T-Sub", a, TypeName.NAT),
-                          operand("T-Sub", b, TypeName.NAT)))
-        case Mul(a, b):
-            return axiom("T-Mult", TypeName.NAT,
-                         (operand("T-Mult", a, TypeName.NAT),
-                          operand("T-Mult", b, TypeName.NAT)))
-        case Eq(a, b):
-            return axiom("T-Equal", TypeName.BOOL,
-                         (operand("T-Equal", a, TypeName.NAT),
-                          operand("T-Equal", b, TypeName.NAT)))
-        case Le(a, b):
-            return axiom("T-LEqual", TypeName.BOOL,
-                         (operand("T-LEqual", a, TypeName.NAT),
-                          operand("T-LEqual", b, TypeName.NAT)))
-        case And(a, b):
-            return axiom("T-And", TypeName.BOOL,
-                         (operand("T-And", a, TypeName.BOOL),
-                          operand("T-And", b, TypeName.BOOL)))
+        case Add() | Sub() | Mul() | Eq() | Le() | And():
+            rule, want, t = _BINARY_RULES[type(e)]
+            return axiom(rule, t, (operand(rule, e.left, want),
+                                   operand(rule, e.right, want)))
         case Not(b):
             return axiom("T-Not", TypeName.BOOL,
                          (operand("T-Not", b, TypeName.BOOL),))
@@ -229,20 +220,13 @@ def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
         case Begin(decls, procs, body):
             children = []
             g, d = gamma, delta
-            if decls:
-                for decl in decls:
-                    j = type_of_stmt(g, d, decl)
+            for section in (decls, procs):
+                if not section:
+                    children.append(_empty_judgment(g, d))
+                for item in section:
+                    j = type_of_stmt(g, d, item)
                     children.append(j)
                     g, d = j.gamma_out, j.delta_out
-            else:
-                children.append(_empty_judgment(g, d))
-            if procs:
-                for proc in procs:
-                    j = type_of_stmt(g, d, proc)
-                    children.append(j)
-                    g, d = j.gamma_out, j.delta_out
-            else:
-                children.append(_empty_judgment(g, d))
             jb = type_of_stmt(g, d, body)
             children.append(jb)
             if jb.type is not TypeName.CMD:
@@ -300,7 +284,7 @@ def render_derivation(j: Judgment) -> str:
         lines.append(
             "  " * depth
             + f"{node.rule}: {node.gamma_in.render()} {node.delta_in.render()}"
-            + f" ⊢ {_show(node.subject)} : {node.type}"
+            + f" ⊢ {_show(node.subject)} : {node.type.value}"
             + f" ⊣ {node.gamma_out.render()} {node.delta_out.render()}"
         )
         for child in node.children:

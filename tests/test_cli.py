@@ -1,6 +1,7 @@
 """End-to-end command-line runs via subprocess."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -254,3 +255,20 @@ class TestDeterminism:
         traces = [whilelang("trace", prog, "--schedule", "random",
                             "--seed", "13").stdout for _ in range(2)]
         assert traces[0] == traces[1]
+
+
+class TestBenchmarkBoundaries:
+    def test_every_traced_boundary_resolves(self):
+        # The traced benchmark run wraps each (module, attribute) that
+        # perfbench/spans.py lists, looking the module up among those
+        # `whilelang.cli` imported; a name deleted or renamed there stops
+        # that run.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", ROOT / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        import whilelang.cli  # noqa: F401
+        for module, attribute, _ in spans.BOUNDARIES:
+            assert module in sys.modules, module
+            assert callable(getattr(sys.modules[module], attribute, None)), \
+                f"{module}.{attribute}"

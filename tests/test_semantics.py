@@ -8,12 +8,11 @@ from strategies import SEEDED_STORE, parfree_runtime_stmts, runtime_stmts
 from whilelang.env import Env, Frame, render_store
 from whilelang.parser import parse_program
 from whilelang.semantics import (
-    Configuration, diagnose, eval_expr_step, is_terminal, protected_pred,
-    successors,
+    Configuration, diagnose, is_terminal, protected_pred, successors,
 )
 from whilelang.syntax import (
     Add, And, BeginScope, Call, Decl, Empty, EndScope, ExprStmt, FalseLit,
-    FalseV, Hole, If, NatLit, NatV, Not, Par, Protect, Protected, Seq, Sub,
+    FalseV, If, NatLit, NatV, Not, Par, Protect, Protected, Seq, Sub,
     TrueLit, TrueV, TypeName, Update, ValStmt, Var, VoidV, While, pretty,
 )
 
@@ -28,6 +27,17 @@ def conf(stmt, store=None, procs=None) -> Configuration:
 
 def nat_store(**bindings) -> Env:
     return Env((Frame(tuple((k, NatV(v)) for k, v in bindings.items())),))
+
+
+def expr_step(store, e):
+    """The one step of the expression statement `e` under `store`, as
+    (label, expression), or the StuckInfo when it has none."""
+    c = conf(ExprStmt(e), store)
+    steps = successors(c)
+    if not steps:
+        return diagnose(c)
+    [step] = steps
+    return step.rule, step.next.stmt.expr
 
 
 class TestProtectedPredicate:
@@ -57,59 +67,61 @@ class TestProtectedPredicate:
 class TestExprStep:
     def test_variable_resolves_from_store(self):
         store = nat_store(y=4)
-        label, stepped = eval_expr_step(store, Add(Var("y"), NatLit(1)))
+        label, stepped = expr_step(store, Add(Var("y"), NatLit(1)))
         assert label == "Expr-Var"
         assert stepped == Add(NatLit(4), NatLit(1))
 
     def test_primitive_application(self):
-        label, stepped = eval_expr_step(Env(), Add(NatLit(4), NatLit(1)))
+        label, stepped = expr_step(Env(), Add(NatLit(4), NatLit(1)))
         assert (label, stepped) == ("Expr-Add", NatLit(5))
 
     def test_monus_table(self):
         for a in range(11):
             for b in range(11):
-                _, stepped = eval_expr_step(Env(), Sub(NatLit(a), NatLit(b)))
+                _, stepped = expr_step(Env(), Sub(NatLit(a), NatLit(b)))
                 assert stepped == NatLit(max(0, a - b))
 
     def test_monus_example(self):
-        assert eval_expr_step(Env(), Sub(NatLit(3), NatLit(5)))[1] == NatLit(0)
+        assert expr_step(Env(), Sub(NatLit(3), NatLit(5)))[1] == NatLit(0)
 
     def test_value_has_no_step(self):
-        assert eval_expr_step(Env(), NatLit(5)) is None
-        assert eval_expr_step(Env(), TrueLit()) is None
+        # No expression step: the statement's one step turns it into a value.
+        for value in (NatLit(5), TrueLit()):
+            [step] = successors(conf(ExprStmt(value)))
+            assert step.rule == "Expr-Val"
 
     def test_left_operand_first_then_right(self):
         e = Add(Add(NatLit(1), NatLit(2)), Add(NatLit(3), NatLit(4)))
-        _, stepped = eval_expr_step(Env(), e)
+        _, stepped = expr_step(Env(), e)
         assert stepped == Add(NatLit(3), Add(NatLit(3), NatLit(4)))
 
     def test_conjunction_is_strict_not_shortcircuit(self):
         e = And(FalseLit(), Eq_like := Not(TrueLit()))
-        label, stepped = eval_expr_step(Env(), e)
+        label, stepped = expr_step(Env(), e)
         assert label == "Expr-Not"
         assert stepped == And(FalseLit(), FalseLit())
-        label, stepped = eval_expr_step(Env(), stepped)
+        label, stepped = expr_step(Env(), stepped)
         assert (label, stepped) == ("Expr-And", FalseLit())
 
     def test_unbound_variable_reports_stuck(self):
-        info = eval_expr_step(Env(), Add(Var("q"), NatLit(1)))
+        info = expr_step(Env(), Add(Var("q"), NatLit(1)))
         assert info.reason == "unbound variable q"
         assert info.at == Var("q")
 
     def test_bool_value_in_arithmetic_hole_is_stuck(self):
         store = Env((Frame((("y", TrueV()),)),))
-        info = eval_expr_step(store, Add(Var("y"), NatLit(1)))
+        info = expr_step(store, Add(Var("y"), NatLit(1)))
         assert info.reason == "operand of wrong shape"
 
     def test_nat_value_in_boolean_hole_is_stuck(self):
         store = nat_store(y=4)
-        info = eval_expr_step(store, And(Var("y"), TrueLit()))
+        info = expr_step(store, And(Var("y"), TrueLit()))
         assert info.reason == "operand of wrong shape"
 
     def test_any_hole_accepts_both_shapes(self):
         store = Env((Frame((("y", TrueV()), ("n", NatV(2)))),))
-        assert eval_expr_step(store, Var("y"), Hole.ANY)[1] == TrueLit()
-        assert eval_expr_step(store, Var("n"), Hole.ANY)[1] == NatLit(2)
+        assert expr_step(store, Var("y"))[1] == TrueLit()
+        assert expr_step(store, Var("n"))[1] == NatLit(2)
 
 
 class TestStatementRules:

@@ -142,6 +142,25 @@ class TestParseErrors:
         assert info.value.expected
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("text,position,message", [
+        ("var Nat x := 1; proc p is x := 2", (1, 17),
+         "procedure declaration 'p' outside a begin block"),
+        ("begin var Nat x := 1; x := 2; proc p is x := 3 end", (1, 31),
+         "procedure declaration 'p' outside a begin block"),
+        # reported before the syntax error that follows it
+        ("proc p is x := 1; x := (", (1, 1),
+         "procedure declaration 'p' outside a begin block"),
+        ("var Nat x := 1 + true", (1, 18),
+         "boolean expression in arithmetic position"),
+        ("var Bool b := not 3", (1, 19),
+         "arithmetic expression in boolean position"),
+    ])
+    def test_error_points_at_offending_token(self, text, position, message):
+        with pytest.raises(ParseError) as info:
+            parse_program(text)
+        assert (info.value.line, info.value.column) == position
+        assert info.value.message == message
+
     def test_runtime_keyword_message(self):
         with pytest.raises(ParseError, match="runtime-only keyword"):
             parse_program("beginscope")
