@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--schedule", choices=("first", "random"),
                            default="first")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+            p.add_argument("--max-steps", type=_budget, default=DEFAULT_MAX_STEPS)
         if graphish:
             p.add_argument("--max-states", type=_budget,
                            default=DEFAULT_MAX_STATES)

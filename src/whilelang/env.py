@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .syntax import FalseV, NatV, TrueV, Value, VoidV, pretty, value_text
+from .syntax import FALSE, TRUE, NatLit, Value, VoidV, pretty, value_text
 
 
 class EnvError(Exception):
@@ -173,11 +173,11 @@ def _parse_frame(body: str) -> Frame:
 
 def _parse_value(raw: str) -> Value:
     if raw == "true":
-        return TrueV()
+        return TRUE
     if raw == "false":
-        return FalseV()
+        return FALSE
     if raw == "void":
         return VoidV()
-    if raw.isdigit():
-        return NatV(int(raw))
+    if raw.isascii() and raw.isdigit():
+        return NatLit(int(raw))
     raise ValueError(f"not a value: {raw!r}")

@@ -93,7 +93,6 @@ def run(c0: Configuration, schedule: str = "first", seed: int = 0,
 class ReductionGraph:
     nodes: tuple[Configuration, ...]
     edges: tuple[tuple[int, str, int], ...]
-    root: Configuration
     truncated: bool
     unexpanded: frozenset[int]
 
@@ -146,7 +145,7 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
             nodes.append(target)
             edges.append((src, step.rule, index[target]))
             frontier.append(index[target])
-    return ReductionGraph(tuple(nodes), tuple(edges), c0, truncated,
+    return ReductionGraph(tuple(nodes), tuple(edges), truncated,
                           frozenset(unexpanded))
 
 

@@ -25,8 +25,8 @@ associative and '+'/'-'/'*' left-associative. '=' and '<=' take arithmetic
 operands; 'and'/'not' take boolean ones. A right-hand side that is a bare
 variable or arithmetic expression parses as arithmetic; true/false/not/and
 and comparisons mark it boolean. Unicode spellings of the operators
-(≤ ∧ ¬ −) are accepted. Comments run from '//' to the
-end of the line.
+(≤ ∧ ¬ −) are accepted, but numerals are ASCII digits and names ASCII
+letters, digits and '_'. Comments run from '//' to the end of the line.
 
 The runtime-only keywords (beginscope, endscope, protected) are reserved
 and rejected in source.
@@ -107,9 +107,9 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("number", source[i:j], line, col))
             col += j - i

@@ -36,11 +36,10 @@ from . import env as envmod
 from .env import Env, RedeclError, ScopeError, UnboundError
 from .syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, EvalContext,
-    Expr, ExprStmt, FParLeft, FParRight, FSeqHead, FalseLit, FalseV, Hole,
-    If, Le, Mul, NatLit, NatV, Not, Par, ProcDecl, Protect, Protected, Redex,
-    Seq, Stmt, Sub, TRUE, FALSE, TrueLit, TrueV, Update, ValStmt, Var,
-    VOID_STMT, While, decompose, hole_class, plug_frame, expr_value,
-    protected_pred,
+    Expr, ExprStmt, FParLeft, FParRight, FSeqHead, FalseLit, If, Le, Mul,
+    NatLit, Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub,
+    TRUE, FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, While, decompose,
+    hole_class, plug_frame, protected_pred,
 )
 
 _EXPR_REDEXES = (Var, Add, Sub, Mul, Eq, Le, And, Not)
@@ -78,18 +77,13 @@ def is_terminal(c: Configuration) -> bool:
 # ---------------------------------------------------------------------------
 # Expression redexes
 
-def _resolve_var(store: Env, var: Var, hole: Hole) -> Expr:
+def _resolve_var(store: Env, var: Var, hole: tuple[type, ...]) -> Expr:
     try:
         value = envmod.lookup_var(store, var.name)
     except UnboundError:
         raise _StuckRedex(var, f"unbound variable {var.name}") from None
-    match value:
-        case NatV(n) if hole in (Hole.ARITH, Hole.ANY):
-            return NatLit(n)
-        case TrueV() if hole in (Hole.BOOL, Hole.ANY):
-            return TRUE
-        case FalseV() if hole in (Hole.BOOL, Hole.ANY):
-            return FALSE
+    if isinstance(value, hole):
+        return value
     raise _StuckRedex(var, "operand of wrong shape")
 
 
@@ -110,7 +104,8 @@ _NAT_AXIOMS = {
 }
 
 
-def contract_expr(store: Env, redex: Expr, hole: Hole) -> tuple[str, Expr]:
+def contract_expr(store: Env, redex: Expr, hole: tuple[type, ...]) \
+        -> tuple[str, Expr]:
     """Contract an expression redex; subtraction is monus, conjunction is
     strict in both operands."""
     match redex:
@@ -151,7 +146,7 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
     match redex:
         case Decl(_, name, rhs):
             try:
-                store2 = envmod.declare_var(store, name, expr_value(rhs))
+                store2 = envmod.declare_var(store, name, rhs)
             except RedeclError:
                 raise _StuckRedex(
                     redex, f"variable {name} already declared in this scope"
@@ -159,7 +154,7 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
             return "Assign", VOID_STMT, store2, procs
         case Update(name, rhs):
             try:
-                store2 = envmod.update_var(store, name, expr_value(rhs))
+                store2 = envmod.update_var(store, name, rhs)
             except UnboundError:
                 raise _StuckRedex(redex, f"unbound variable {name}") from None
             return "Update", VOID_STMT, store2, procs
@@ -204,7 +199,7 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
         case Protected(ValStmt(_)):
             return "Protected", VOID_STMT, store, procs
         case ExprStmt(e):
-            return "Expr-Val", ValStmt(expr_value(e)), store, procs
+            return "Expr-Val", ValStmt(e), store, procs
     raise TypeError(f"not a statement redex: {redex!r}")
 
 

@@ -10,6 +10,9 @@ Three layers share one set of node classes:
   never accepts: protected regions, beginscope/endscope markers, bare
   expressions and values in statement position, and the empty statement.
 
+Values are the normal forms: the literals `n`, `true` and `false`, which
+are expression nodes themselves, and `void` for a finished statement.
+
 The module also defines evaluation contexts over statements and the
 `decompose`/`plug` pair that drives the one-step reduction relation.
 """
@@ -31,51 +34,10 @@ class TypeName(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Values
-
-@dataclass(frozen=True)
-class NatV:
-    n: int
-
-
-@dataclass(frozen=True)
-class TrueV:
-    pass
-
-
-@dataclass(frozen=True)
-class FalseV:
-    pass
-
-
-@dataclass(frozen=True)
-class VoidV:
-    pass
-
-
-Value = Union[NatV, TrueV, FalseV, VoidV]
-
-VOID = VoidV()
-
-
-def value_text(v: Value) -> str:
-    match v:
-        case NatV(n):
-            return str(n)
-        case TrueV():
-            return "true"
-        case FalseV():
-            return "false"
-        case VoidV():
-            return "void"
-    raise TypeError(f"not a value: {v!r}")
-
-
-# ---------------------------------------------------------------------------
 # Expressions
 #
-# `Var` belongs to both expression classes; which shapes may fill a variable
-# occurrence is decided by the hole it sits in (see Hole below).
+# `Var` belongs to both expression classes; which literals may fill a
+# variable occurrence is decided by the hole it sits in (see hole_class).
 
 @dataclass(frozen=True)
 class NatLit:
@@ -151,15 +113,20 @@ def is_literal(e: Expr) -> bool:
     return isinstance(e, (NatLit, TrueLit, FalseLit))
 
 
-def expr_value(e: Expr) -> Value:
-    match e:
-        case NatLit(n):
-            return NatV(n)
-        case TrueLit():
-            return TrueV()
-        case FalseLit():
-            return FalseV()
-    raise ValueError(f"not a value expression: {e!r}")
+# ---------------------------------------------------------------------------
+# Values: the literals above, and `void` for a finished statement. A store
+# binds names to values, and `ValStmt` holds one in statement position.
+
+@dataclass(frozen=True)
+class VoidV:
+    pass
+
+
+Value = Union[NatLit, TrueLit, FalseLit, VoidV]
+
+
+def value_text(v: Value) -> str:
+    return "void" if isinstance(v, VoidV) else _pp_expr(v, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +230,7 @@ Stmt = Union[
     Protected, BeginScope, EndScope, ExprStmt, ValStmt, Empty,
 ]
 
-VOID_STMT = ValStmt(VOID)
+VOID_STMT = ValStmt(VoidV())
 
 _RUNTIME_ONLY = (Protected, BeginScope, EndScope, ExprStmt, ValStmt, Empty)
 
@@ -473,12 +440,6 @@ def _infix(text: str, own_level: int, required: int) -> str:
 # value already, and a par side is entered only while the opposite side is
 # not inside an atomic region.
 
-class Hole(enum.Enum):
-    ARITH = "arith"
-    BOOL = "bool"
-    ANY = "any"
-
-
 @dataclass(frozen=True)
 class FBinLeft:
     node: type
@@ -550,17 +511,17 @@ Redex = Union[Stmt, Expr]
 _ARITH_OPS = (Add, Sub, Mul, Eq, Le)
 
 
-def hole_class(ctx: EvalContext) -> Hole:
-    """Which expression shapes the innermost hole of `ctx` accepts."""
-    for frame in reversed(ctx):
-        match frame:
-            case FBinLeft(node, _) | FBinRight(node, _):
-                return Hole.ARITH if node in _ARITH_OPS else Hole.BOOL
-            case FNot() | FIfCond():
-                return Hole.BOOL
-            case _:
-                return Hole.ANY
-    return Hole.ANY
+def hole_class(ctx: EvalContext) -> tuple[type, ...]:
+    """The literal classes that may fill the innermost hole of `ctx`, an
+    expression position: numerals under an arithmetic operator or a
+    comparison, booleans under `and`, `not` or a condition, any literal
+    elsewhere. `void` fills no expression hole."""
+    match ctx[-1]:
+        case FBinLeft(node, _) | FBinRight(node, _):
+            return (NatLit,) if node in _ARITH_OPS else (TrueLit, FalseLit)
+        case FNot() | FIfCond():
+            return TrueLit, FalseLit
+    return NatLit, TrueLit, FalseLit
 
 
 def decompose(s: Stmt) -> list[tuple[EvalContext, Redex]]:

@@ -4,9 +4,8 @@ from hypothesis import strategies as st
 
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, ExprStmt,
-    FalseLit, FalseV, If, Le, Mul, NatLit, NatV, Not, Par, ProcDecl,
-    Protect, Protected, Seq, Sub, TrueLit, TrueV, TypeName, Update,
-    ValStmt, Var, VoidV, While,
+    FalseLit, If, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected,
+    Seq, Sub, TrueLit, TypeName, Update, ValStmt, Var, VoidV, While,
 )
 from whilelang.env import Env, Frame
 
@@ -18,9 +17,9 @@ proc_names = st.sampled_from(PROC_POOL)
 type_names = st.sampled_from([TypeName.NAT, TypeName.BOOL])
 
 values = st.one_of(
-    st.builds(NatV, st.integers(0, 9)),
-    st.just(TrueV()),
-    st.just(FalseV()),
+    st.builds(NatLit, st.integers(0, 9)),
+    st.just(TrueLit()),
+    st.just(FalseLit()),
     st.just(VoidV()),
 )
 
@@ -119,8 +118,8 @@ parfree_runtime_stmts = st.recursive(
 # A store binding the whole pool, so generated programs take many steps
 # before hitting an unbound name.
 SEEDED_STORE = Env((Frame((
-    ("a", NatV(1)), ("b", NatV(2)), ("c", NatV(0)),
-    ("x", NatV(3)), ("y", TrueV()), ("z", FalseV()), ("w", NatV(5)),
+    ("a", NatLit(1)), ("b", NatLit(2)), ("c", NatLit(0)),
+    ("x", NatLit(3)), ("y", TrueLit()), ("z", FalseLit()), ("w", NatLit(5)),
 )),))
 
 stores = st.lists(

@@ -27,7 +27,7 @@ from whilelang.explorer import (
 from whilelang.parser import parse_program
 from whilelang.semantics import Configuration, successors
 from whilelang.syntax import (
-    NatLit, NatV, TypeName, VoidV, decompose, plug, pretty,
+    NatLit, TypeName, VoidV, decompose, plug, pretty,
 )
 from whilelang.typesys import (
     TypeCheckError, TypeEnv, check_program, render_derivation, type_of_expr,
@@ -260,7 +260,7 @@ def test_criterion_5_monus_safety(stmt):
                 assert node.n >= 0
         for frame in conf.store.frames:
             for _, value in frame.entries:
-                if isinstance(value, NatV):
+                if isinstance(value, NatLit):
                     assert value.n >= 0
 
 

@@ -1,4 +1,5 @@
-"""End-to-end command-line runs via subprocess."""
+"""End-to-end command-line runs: via subprocess, and in process for the
+exit-code fuzz test."""
 
 import hashlib
 import importlib.util
@@ -6,9 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from whilelang import cli
+from whilelang.parser import KEYWORDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -206,6 +213,11 @@ class TestUsageAndIOErrors:
                       "--max-depth", "0")
         self.assert_usage_error(r, "argument --max-depth")
 
+    def test_zero_step_budget(self, tmp_program):
+        r = whilelang("run", tmp_program("var Nat x := 1"),
+                      "--max-steps", "0")
+        self.assert_usage_error(r, "argument --max-steps")
+
 
 class TestRunawayNesting:
     """Exit 4 with one line on stderr and no traceback."""
@@ -234,6 +246,11 @@ class TestDeterminism:
          "29574cd5c652b9700f1fd80889b53a5b9c9a45a9d8f3ab4431b118877b42990e"),
         ("graph", None,
          "91a065b01d5dcb46cc91a6f389aa24c52b24d768f2b9a9b73d90471ea6a7a9b7"),
+        # Bool values in the store column
+        ("trace", "programs/bool_roundtrip.whl",
+         "ac0349c3ba16a404642eb38218e7fa6ecc2d0a0072bd1b2d84f67f89c2befe92"),
+        ("outcomes", "programs/logic_gates.whl",
+         "4fa86c0a219ad846a03020b87f14656adfd041ba6592c3a7795e6c3b0014ac41"),
     ]
 
     @pytest.mark.parametrize("command, program, digest", GOLDENS)
@@ -272,3 +289,89 @@ class TestBenchmarkBoundaries:
             assert module in sys.modules, module
             assert callable(getattr(sys.modules[module], attribute, None)), \
                 f"{module}.{attribute}"
+
+
+# A program is a few statements joined by `;` or `par`, with a few items
+# inserted anywhere: single tokens of the source vocabulary (ASCII and
+# other Unicode numerals among them) or free text. Programs without
+# insertions mostly parse, type-check and run; the rest send malformed
+# input to every stage from the tokenizer on.
+FUZZ_STATEMENTS = [
+    "var Nat x := 0", "var Bool y := true", "x := x + 1", "x := x - 2",
+    "y := not y", "x := y", "y := x = 0", "x := ²", "x := ٣", "call p",
+    "while x <= 3 do x := x + 1", "while true do x := x * 2",
+    "if y then x := 1 else x := 2", "begin proc p is x := x * 2; call p end",
+    "protect x := x + 1 end", "{ x := 7 par x := 0 }",
+]
+FUZZ_WORDS = sorted(KEYWORDS) + [
+    ":=", "<=", ";", "{", "}", "(", ")", "+", "-", "*", "=", "≤", "∧", "¬",
+    "−", "//", "0", "1", "7", "²", "٣", "x", "y", "p",
+]
+FUZZ_STORES = {
+    "good": "({x=1, y=true}, {x=2})",
+    "malformed": "({x=1",
+    "void": "({x=void, y=2})",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_STORES.items():
+        (path / f"{name}.txt").write_text(text, encoding="utf-8")
+    return path
+
+
+@st.composite
+def invocations(draw):
+    """Program text, command, flags and the store file to pass, if any."""
+    items = []
+    for stmt in draw(st.lists(st.sampled_from(FUZZ_STATEMENTS),
+                              min_size=1, max_size=4)):
+        if items:
+            items.append(draw(st.sampled_from([";", "par"])))
+        items.append(stmt)
+    free_text = st.text(st.characters(blacklist_categories=("Cs",)),
+                        max_size=4)
+    for item in draw(st.lists(st.one_of(st.sampled_from(FUZZ_WORDS),
+                                        free_text), max_size=3)):
+        items.insert(draw(st.integers(0, len(items))), item)
+    command = draw(st.sampled_from(
+        ["parse", "check", "run", "trace", "graph", "outcomes"]))
+    budget = st.integers(-1, 40).map(str)
+    args = []
+    if command == "check" and draw(st.booleans()):
+        args.append("--emit-derivation")
+    if command in ("run", "trace"):
+        args += ["--max-steps", draw(budget)]
+        if draw(st.booleans()):
+            args += ["--schedule", "random", "--seed", draw(budget)]
+    if command in ("graph", "outcomes"):
+        args += ["--max-states", draw(budget), "--max-depth", draw(budget)]
+    store = None
+    if command not in ("parse", "check"):
+        store = draw(st.sampled_from([None, *FUZZ_STORES]))
+        if draw(st.booleans()):
+            args.append("--checked")
+    return " ".join(items), command, args, store
+
+
+class TestExitCodeContract:
+    """Any program and flags end in a documented exit code, never in an
+    exception, and an error exit prints exactly one line on stderr."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(invocations())
+    def test_random_invocations(self, fuzz_dir, invocation):
+        text, command, args, store = invocation
+        program = fuzz_dir / "prog.whl"
+        program.write_text(text, encoding="utf-8")
+        if store:
+            args = [*args, "--initial-store", str(fuzz_dir / f"{store}.txt")]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([command, str(program), *args])
+        assert code in range(6)
+        if code in (1, 2, 5):
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n")

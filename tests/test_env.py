@@ -12,11 +12,11 @@ from whilelang.env import (
     declare_var, lookup_proc, lookup_var, parse_store, pop_scope,
     push_scope, render_store, update_var,
 )
-from whilelang.syntax import NatV, Update, NatLit
+from whilelang.syntax import Update, NatLit
 
 
 def store_of(*frames) -> Env:
-    return Env(tuple(Frame(tuple((k, NatV(v)) for k, v in f)) for f in frames))
+    return Env(tuple(Frame(tuple((k, NatLit(v)) for k, v in f)) for f in frames))
 
 
 class TestScopes:
@@ -48,34 +48,34 @@ class TestScopes:
 class TestDeclare:
     def test_declares_into_deepest_frame_only(self):
         store = store_of([("a", 3), ("b", 5)], [])
-        got = declare_var(store, "a", NatV(4))
+        got = declare_var(store, "a", NatLit(4))
         assert render_store(got) == "({a=3, b=5}, {a=4})"
 
     def test_redeclaration_in_same_level_fails(self):
         store = store_of([], [("a", 4)])
         with pytest.raises(RedeclError):
-            declare_var(store, "a", NatV(7))
+            declare_var(store, "a", NatLit(7))
 
     def test_fresh_name_in_global(self):
-        assert render_store(declare_var(Env(), "x", NatV(1))) == "({x=1})"
+        assert render_store(declare_var(Env(), "x", NatLit(1))) == "({x=1})"
 
 
 class TestUpdateLookup:
     def test_updates_deepest_binding_only(self):
         store = store_of([("a", 3), ("b", 5)], [("a", 4)])
-        got = update_var(store, "b", NatV(2))
+        got = update_var(store, "b", NatLit(2))
         assert render_store(got) == "({a=3, b=2}, {a=4})"
-        got = update_var(store, "a", NatV(9))
+        got = update_var(store, "a", NatLit(9))
         assert render_store(got) == "({a=3, b=5}, {a=9})"
 
     def test_update_unbound_fails(self):
         with pytest.raises(UnboundError):
-            update_var(Env(), "z", NatV(1))
+            update_var(Env(), "z", NatLit(1))
 
     def test_lookup_prefers_deepest(self):
         store = store_of([("a", 3)], [("a", 4)])
-        assert lookup_var(store, "a") == NatV(4)
-        assert lookup_var(store_of([("a", 3), ("b", 5)]), "b") == NatV(5)
+        assert lookup_var(store, "a") == NatLit(4)
+        assert lookup_var(store_of([("a", 3), ("b", 5)]), "b") == NatLit(5)
 
     def test_lookup_unbound_fails(self):
         with pytest.raises(UnboundError):
@@ -188,6 +188,7 @@ class TestRendering:
 
     @pytest.mark.parametrize("text", [
         "", "()", "{a=1}", "({a})", "({a=})", "({a=1} {b=2})", "({a=nope})",
+        "({a=²})", "({a=٣})",
     ])
     def test_bad_store_files(self, text):
         with pytest.raises(ValueError):

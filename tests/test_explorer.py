@@ -20,7 +20,7 @@ from whilelang.explorer import (
 from whilelang.parser import parse_program
 from whilelang.semantics import Configuration
 from whilelang.syntax import (
-    Empty, NatLit, NatV, Par, Printer, Seq, Update, ValStmt, VoidV, pretty,
+    Empty, NatLit, Par, Printer, Seq, Update, ValStmt, VoidV, pretty,
 )
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -78,7 +78,7 @@ class TestRun:
 
     def test_first_schedule_prefers_left_par_side(self):
         c = Configuration(
-            Env((Frame((("x", NatV(0)),)),)), Env(),
+            Env((Frame((("x", NatLit(0)),)),)), Env(),
             Par(Update("x", NatLit(1)), Update("x", NatLit(2))))
         t = run(c)
         assert t.rules()[0].startswith("Par2")

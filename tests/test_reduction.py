@@ -20,7 +20,7 @@ from whilelang.explorer import explore, outcomes
 from whilelang.parser import parse_program
 from whilelang.semantics import Configuration, successors
 from whilelang.syntax import (
-    Add, Begin, Call, Decl, Empty, If, Le, NatLit, NatV, Par, ProcDecl,
+    Add, Begin, Call, Decl, Empty, If, Le, NatLit, Par, ProcDecl,
     Protect, Protected, Seq, TypeName, Update, ValStmt, Var, While,
 )
 
@@ -94,14 +94,14 @@ def test_call_on_other_side_blocks_reduction():
     assert len(outcomes(explore(c0, reduce=True)).terminals) == 2
 
 
-@pytest.mark.parametrize("head", [ValStmt(NatV(0)), Empty()],
+@pytest.mark.parametrize("head", [ValStmt(NatLit(0)), Empty()],
                          ids=["discharge", "collapse"])
 def test_region_brought_to_the_head_is_not_persistent(head):
     # Discharging `0;`, or `ε` stepping to void, exposes an acquired region
     # that blocks the other side: taking that step alone would lose x=6.
     body = Update("x", Add(Var("x"), NatLit(1)))
     stmt = Par(Seq(head, Protected(body)), Update("x", NatLit(5)))
-    c0 = Configuration(Env((Frame((("x", NatV(0)),)),)), Env(), stmt)
+    c0 = Configuration(Env((Frame((("x", NatLit(0)),)),)), Env(), stmt)
     assert len(successors(c0, reduce=True)) == 2
     assert assert_same_outcomes(c0)
 

@@ -12,8 +12,8 @@ from whilelang.semantics import (
 )
 from whilelang.syntax import (
     Add, And, BeginScope, Call, Decl, Empty, EndScope, ExprStmt, FalseLit,
-    FalseV, If, NatLit, NatV, Not, Par, Protect, Protected, Seq, Sub,
-    TrueLit, TrueV, TypeName, Update, ValStmt, Var, VoidV, While, pretty,
+    If, NatLit, Not, Par, Protect, Protected, Seq, Sub, TrueLit, TypeName,
+    Update, ValStmt, Var, VoidV, While, pretty,
 )
 
 NAT = TypeName.NAT
@@ -26,7 +26,7 @@ def conf(stmt, store=None, procs=None) -> Configuration:
 
 
 def nat_store(**bindings) -> Env:
-    return Env((Frame(tuple((k, NatV(v)) for k, v in bindings.items())),))
+    return Env((Frame(tuple((k, NatLit(v)) for k, v in bindings.items())),))
 
 
 def expr_step(store, e):
@@ -109,7 +109,7 @@ class TestExprStep:
         assert info.at == Var("q")
 
     def test_bool_value_in_arithmetic_hole_is_stuck(self):
-        store = Env((Frame((("y", TrueV()),)),))
+        store = Env((Frame((("y", TrueLit()),)),))
         info = expr_step(store, Add(Var("y"), NatLit(1)))
         assert info.reason == "operand of wrong shape"
 
@@ -119,7 +119,7 @@ class TestExprStep:
         assert info.reason == "operand of wrong shape"
 
     def test_any_hole_accepts_both_shapes(self):
-        store = Env((Frame((("y", TrueV()), ("n", NatV(2)))),))
+        store = Env((Frame((("y", TrueLit()), ("n", NatLit(2)))),))
         assert expr_step(store, Var("y"))[1] == TrueLit()
         assert expr_step(store, Var("n"))[1] == NatLit(2)
 
@@ -200,7 +200,7 @@ class TestStatementRules:
         assert step.next.stmt == Seq(Update("x", NatLit(7)), VOID)
 
     def test_seq_value_head_discharge_rule(self):
-        c = conf(Seq(ValStmt(NatV(3)), Update("x", NatLit(1))))
+        c = conf(Seq(ValStmt(NatLit(3)), Update("x", NatLit(1))))
         [step] = successors(c)
         assert step.rule == "Seq-discharge"
         assert step.next.stmt == Update("x", NatLit(1))
@@ -222,7 +222,7 @@ class TestStatementRules:
 
     def test_expr_stmt_discharges_to_value(self):
         [step] = successors(conf(ExprStmt(NatLit(3))))
-        assert (step.rule, step.next.stmt) == ("Expr-Val", ValStmt(NatV(3)))
+        assert (step.rule, step.next.stmt) == ("Expr-Val", ValStmt(NatLit(3)))
 
 
 class TestParRules:
@@ -304,11 +304,23 @@ class TestStuckness:
         assert diagnose(conf(Call("q"))).reason == "unbound procedure q"
 
     def test_wrong_shape_operand_via_bool_variable(self):
-        store = Env((Frame((("y", TrueV()), ("x", NatV(0)))),))
+        store = Env((Frame((("y", TrueLit()), ("x", NatLit(0)))),))
         c = conf(Update("x", Add(Var("y"), NatLit(1))), store)
         assert successors(c) == []
         assert diagnose(c).reason == "operand of wrong shape"
         assert diagnose(c).at == Var("y")
+
+    @pytest.mark.parametrize("stmt", [
+        Update("x", Add(Var("v"), NatLit(1))),
+        If(Var("v"), Update("x", NatLit(1)), Update("x", NatLit(2))),
+        Update("x", Var("v")),
+    ], ids=["arith-hole", "bool-hole", "any-hole"])
+    def test_void_bound_variable_fills_no_hole(self, stmt):
+        store = Env((Frame((("v", VoidV()), ("x", NatLit(0)))),))
+        c = conf(stmt, store)
+        assert successors(c) == []
+        assert diagnose(c).reason == "operand of wrong shape"
+        assert diagnose(c).at == Var("v")
 
     def test_scope_underflow_is_stuck_not_raised(self):
         c = conf(EndScope())

@@ -154,6 +154,8 @@ class TestParseErrors:
          "boolean expression in arithmetic position"),
         ("var Bool b := not 3", (1, 19),
          "arithmetic expression in boolean position"),
+        # numerals are ASCII digits only, like identifiers
+        ("var Nat x := ²", (1, 14), "unexpected character '²'"),
     ])
     def test_error_points_at_offending_token(self, text, position, message):
         with pytest.raises(ParseError) as info:
