@@ -2,10 +2,11 @@
 
 Subcommands: parse, check, run, trace, graph, outcomes. Exit codes are a
 total, disjoint contract: 0 success, 1 parse error, 2 type error, 3 stuck,
-4 budget exhausted or graph truncated, or a term nested deeper than the
-recursion limit, 5 usage or IO error (bad arguments, an input or store file
-that cannot be read, a malformed store file, an `--out` file that cannot be
-written). Errors print one line on stderr.
+4 budget exhausted or graph truncated, a term nested deeper than the
+recursion limit, or a numeral over 4300 digits, 5 usage or IO error (bad
+arguments, an input or store file that cannot be read, a malformed store
+file, an `--out` file that cannot be written). Errors print one line on
+stderr.
 
 `graph` writes the full reduction graph; `outcomes` explores the
 partial-order reduced one, which has the same leaves, so its
@@ -25,7 +26,7 @@ from .explorer import (
     Stuck, Terminated, explore, outcomes, run, to_dot, to_json_trace,
 )
 from .parser import ParseError, parse_program
-from .semantics import Configuration
+from .semantics import Configuration, NumeralOverflow
 from .syntax import pretty, value_text
 from .typesys import TypeCheckError, check_program, render_derivation
 
@@ -142,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         # states by their budgets.
         print("whilelang: error: term nesting exceeds the recursion limit",
               file=sys.stderr)
+        return EXIT_BUDGET
+    except NumeralOverflow as err:
+        print(f"whilelang: error: {err}", file=sys.stderr)
         return EXIT_BUDGET
 
 

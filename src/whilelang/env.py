@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .syntax import FALSE, TRUE, NatLit, Value, VoidV, pretty, value_text
+from .syntax import (
+    FALSE, MAX_NUMERAL_DIGITS, TRUE, NatLit, Value, VoidV, pretty, value_text,
+)
 
 
 class EnvError(Exception):
@@ -178,6 +180,6 @@ def _parse_value(raw: str) -> Value:
         return FALSE
     if raw == "void":
         return VoidV()
-    if raw.isascii() and raw.isdigit():
+    if raw.isascii() and raw.isdigit() and len(raw) <= MAX_NUMERAL_DIGITS:
         return NatLit(int(raw))
     raise ValueError(f"not a value: {raw!r}")

@@ -25,8 +25,8 @@ associative and '+'/'-'/'*' left-associative. '=' and '<=' take arithmetic
 operands; 'and'/'not' take boolean ones. A right-hand side that is a bare
 variable or arithmetic expression parses as arithmetic; true/false/not/and
 and comparisons mark it boolean. Unicode spellings of the operators
-(≤ ∧ ¬ −) are accepted, but numerals are ASCII digits and names ASCII
-letters, digits and '_'. Comments run from '//' to the end of the line.
+(≤ ∧ ¬ −) are accepted, but numerals are up to 4300 ASCII digits and names
+ASCII letters, digits and '_'. Comments run from '//' to the end of the line.
 
 The runtime-only keywords (beginscope, endscope, protected) are reserved
 and rejected in source.
@@ -37,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Add, And, Begin, Call, Decl, Eq, Expr, FalseLit, If, Le, Mul, NatLit,
-    Not, Par, ProcDecl, Protect, Seq, Stmt, Sub, TrueLit, TypeName, Update,
-    Var, While,
+    MAX_NUMERAL_DIGITS, Add, And, Begin, Call, Decl, Eq, Expr, FalseLit, If,
+    Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Seq, Stmt, Sub, TrueLit,
+    TypeName, Update, Var, While,
 )
 
 KEYWORDS = {
@@ -111,6 +111,8 @@ def tokenize(source: str) -> list[Token]:
             j = i
             while j < n and "0" <= source[j] <= "9":
                 j += 1
+            if j - i > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral over {MAX_NUMERAL_DIGITS} digits", line, col)
             tokens.append(Token("number", source[i:j], line, col))
             col += j - i
             i = j

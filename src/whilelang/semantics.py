@@ -35,14 +35,15 @@ from dataclasses import dataclass
 from . import env as envmod
 from .env import Env, RedeclError, ScopeError, UnboundError
 from .syntax import (
-    Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, EvalContext,
-    Expr, ExprStmt, FParLeft, FParRight, FSeqHead, FalseLit, If, Le, Mul,
-    NatLit, Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub,
-    TRUE, FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, While, decompose,
+    MAX_NUMERAL_DIGITS, Add, And, Begin, BeginScope, Call, Decl, Empty,
+    EndScope, Eq, EvalContext, Expr, ExprStmt, FalseLit, If, Le, Mul, NatLit,
+    Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub, TRUE,
+    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, While, decompose,
     hole_class, plug_frame, protected_pred,
 )
 
 _EXPR_REDEXES = (Var, Add, Sub, Mul, Eq, Le, And, Not)
+_NUMERAL_LIMIT = 10 ** MAX_NUMERAL_DIGITS
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,11 @@ class _StuckRedex(Exception):
         super().__init__(reason)
 
 
+class NumeralOverflow(Exception):
+    """A sum or product longer than MAX_NUMERAL_DIGITS digits. It is no stuck
+    redex: it ends a run or an exploration, as an exhausted budget does."""
+
+
 def is_terminal(c: Configuration) -> bool:
     return isinstance(c.stmt, ValStmt)
 
@@ -94,11 +100,17 @@ def _nat_operands(redex: Expr) -> tuple[int, int]:
     raise _StuckRedex(redex, "operand of wrong shape")
 
 
+def _numeral(n: int) -> NatLit:
+    if n >= _NUMERAL_LIMIT:
+        raise NumeralOverflow(f"a numeral exceeds {MAX_NUMERAL_DIGITS} digits")
+    return NatLit(n)
+
+
 # Each binary operator on numerals: its axiom and the literal it yields.
 _NAT_AXIOMS = {
-    Add: ("Expr-Add", lambda a, b: NatLit(a + b)),
+    Add: ("Expr-Add", lambda a, b: _numeral(a + b)),
     Sub: ("Expr-Sub", lambda a, b: NatLit(max(0, a - b))),
-    Mul: ("Expr-Mul", lambda a, b: NatLit(a * b)),
+    Mul: ("Expr-Mul", lambda a, b: _numeral(a * b)),
     Eq: ("Expr-Eq", lambda a, b: TRUE if a == b else FALSE),
     Le: ("Expr-Le", lambda a, b: TRUE if a <= b else FALSE),
 }
@@ -209,23 +221,23 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
     rule-name path."""
     components: list[str] = []
     current = filled
-    for frame in reversed(ctx):
-        match frame:
-            case FSeqHead(rest):
+    for node, field in reversed(ctx):
+        match node:
+            case Seq(_, rest):
                 if current == VOID_STMT:
                     components.append("Seq2")
                     current = rest
                 else:
                     components.append("Seq1")
                     current = Seq(current, rest)
-            case FParLeft(right):
+            case Par(_, right) if field == "left":
                 if isinstance(current, ValStmt):
                     components.append("Par2")
                     current = right
                 else:
                     components.append("Par1")
                     current = Par(current, right)
-            case FParRight(left):
+            case Par(left, _):
                 if isinstance(current, ValStmt):
                     components.append("Par4")
                     current = left
@@ -233,7 +245,7 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
                     components.append("Par3")
                     current = Par(left, current)
             case _:
-                current = plug_frame(frame, current)
+                current = plug_frame(node, field, current)
     components.reverse()
     components.append(axiom)
     return "/".join(components), current
@@ -310,12 +322,12 @@ def _persistent(ctx: EvalContext, redex: Redex, axiom: str,
         return False
     if protected_pred(contractum):
         return False
-    for frame in ctx:
-        match frame:
-            case FParLeft(other) | FParRight(other):
-                if _interferes(other, name):
+    for node, field in ctx:
+        match node:
+            case Par(left, right):
+                if _interferes(right if field == "left" else left, name):
                     return False
-            case FSeqHead(rest):
+            case Seq(_, rest):
                 if protected_pred(rest):
                     return False
     return True

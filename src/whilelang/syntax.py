@@ -13,8 +13,9 @@ Three layers share one set of node classes:
 Values are the normal forms: the literals `n`, `true` and `false`, which
 are expression nodes themselves, and `void` for a finished statement.
 
-The module also defines evaluation contexts over statements and the
-`decompose`/`plug` pair that drives the one-step reduction relation.
+The module also defines evaluation contexts over statements, as paths of
+(node, field) frames, and the `decompose`/`plug` pair that drives the
+one-step reduction relation.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ class TypeName(enum.Enum):
 @dataclass(frozen=True)
 class NatLit:
     n: int
+
+
+# The most digits a numeral may have, in source, in a store file or as a
+# result: Python's default int/str conversion limit, so all print and parse.
+MAX_NUMERAL_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -434,79 +440,17 @@ def _infix(text: str, own_level: int, required: int) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation contexts
 #
-# A context is a root-to-hole path of frames. Each frame records the node
-# shape around the hole; `plug` rebuilds the surrounding node. Descent into
-# the right operand of a binary operator requires the left operand to be a
-# value already, and a par side is entered only while the opposite side is
-# not inside an atomic region.
-
-@dataclass(frozen=True)
-class FBinLeft:
-    node: type
-    right: Expr
-
-
-@dataclass(frozen=True)
-class FBinRight:
-    node: type
-    left: Expr
-
-
-@dataclass(frozen=True)
-class FNot:
-    pass
-
-
-@dataclass(frozen=True)
-class FSeqHead:
-    rest: Stmt
-
-
-@dataclass(frozen=True)
-class FIfCond:
-    then_branch: Stmt
-    else_branch: Stmt
-
-
-@dataclass(frozen=True)
-class FDeclRhs:
-    type_name: TypeName
-    name: str
-
-
-@dataclass(frozen=True)
-class FUpdateRhs:
-    name: str
-
-
-@dataclass(frozen=True)
-class FParLeft:
-    right: Stmt
-
-
-@dataclass(frozen=True)
-class FParRight:
-    left: Stmt
-
-
-@dataclass(frozen=True)
-class FProtectedBody:
-    pass
-
-
-@dataclass(frozen=True)
-class FExprStmt:
-    pass
-
-
-Frame = Union[
-    FBinLeft, FBinRight, FNot, FSeqHead, FIfCond, FDeclRhs, FUpdateRhs,
-    FParLeft, FParRight, FProtectedBody, FExprStmt,
-]
-
-EvalContext = tuple[Frame, ...]
+# A context is a root-to-hole path of frames. A frame is a pair (node,
+# field): the enclosing node as it stands in the term, and the name of its
+# field that holds the hole ("first", "left", "right", "body", "cond",
+# "rhs", "expr" or "operand"); `plug_frame` rebuilds the node with a new
+# filler there. Descent into the right operand of a binary operator
+# requires the left operand to be a value already, and a par side is
+# entered only while the opposite side is not inside an atomic region.
 
 Redex = Union[Stmt, Expr]
+
+EvalContext = tuple[tuple[Redex, str], ...]
 
 _ARITH_OPS = (Add, Sub, Mul, Eq, Le)
 
@@ -516,11 +460,11 @@ def hole_class(ctx: EvalContext) -> tuple[type, ...]:
     expression position: numerals under an arithmetic operator or a
     comparison, booleans under `and`, `not` or a condition, any literal
     elsewhere. `void` fills no expression hole."""
-    match ctx[-1]:
-        case FBinLeft(node, _) | FBinRight(node, _):
-            return (NatLit,) if node in _ARITH_OPS else (TrueLit, FalseLit)
-        case FNot() | FIfCond():
-            return TrueLit, FalseLit
+    node = ctx[-1][0]
+    if isinstance(node, _ARITH_OPS):
+        return (NatLit,)
+    if isinstance(node, (And, Not, If)):
+        return TrueLit, FalseLit
     return NatLit, TrueLit, FalseLit
 
 
@@ -538,60 +482,53 @@ def decompose(s: Stmt) -> list[tuple[EvalContext, Redex]]:
     return out
 
 
-def _decompose_stmt(s: Stmt, path: list[Frame],
+def _decompose_stmt(s: Stmt, path: list[tuple[Redex, str]],
                     out: list[tuple[EvalContext, Redex]]) -> None:
     match s:
         case ValStmt(_):
             return
-        case Seq(first, second):
+        case Seq(first, _):
             if isinstance(first, ValStmt):
                 out.append((tuple(path), s))
             else:
-                path.append(FSeqHead(second))
+                path.append((s, "first"))
                 _decompose_stmt(first, path, out)
                 path.pop()
         case Par(left, right):
             if not protected_pred(right):
-                path.append(FParLeft(right))
+                path.append((s, "left"))
                 _decompose_stmt(left, path, out)
                 path.pop()
             if not protected_pred(left):
-                path.append(FParRight(left))
+                path.append((s, "right"))
                 _decompose_stmt(right, path, out)
                 path.pop()
         case Protected(body):
             if isinstance(body, ValStmt):
                 out.append((tuple(path), s))
             else:
-                path.append(FProtectedBody())
+                path.append((s, "body"))
                 _decompose_stmt(body, path, out)
                 path.pop()
-        case If(cond, then_branch, else_branch):
+        case If(cond, _, _):
             if isinstance(cond, (TrueLit, FalseLit)):
                 out.append((tuple(path), s))
             else:
-                path.append(FIfCond(then_branch, else_branch))
+                path.append((s, "cond"))
                 _decompose_exp(cond, path, out)
                 path.pop()
-        case Decl(t, name, rhs):
+        case Decl(_, _, rhs) | Update(_, rhs):
             if is_literal(rhs):
                 out.append((tuple(path), s))
             else:
-                path.append(FDeclRhs(t, name))
-                _decompose_exp(rhs, path, out)
-                path.pop()
-        case Update(name, rhs):
-            if is_literal(rhs):
-                out.append((tuple(path), s))
-            else:
-                path.append(FUpdateRhs(name))
+                path.append((s, "rhs"))
                 _decompose_exp(rhs, path, out)
                 path.pop()
         case ExprStmt(e):
             if is_literal(e):
                 out.append((tuple(path), s))
             else:
-                path.append(FExprStmt())
+                path.append((s, "expr"))
                 _decompose_exp(e, path, out)
                 path.pop()
         case While() | Begin() | Call() | Protect() | ProcDecl() | \
@@ -601,7 +538,7 @@ def _decompose_stmt(s: Stmt, path: list[Frame],
             raise TypeError(f"not a statement: {s!r}")
 
 
-def _decompose_exp(e: Expr, path: list[Frame],
+def _decompose_exp(e: Expr, path: list[tuple[Redex, str]],
                    out: list[tuple[EvalContext, Redex]]) -> None:
     if is_literal(e):
         return
@@ -612,17 +549,17 @@ def _decompose_exp(e: Expr, path: list[Frame],
             if is_literal(operand):
                 out.append((tuple(path), e))
             else:
-                path.append(FNot())
+                path.append((e, "operand"))
                 _decompose_exp(operand, path, out)
                 path.pop()
         case Add() | Sub() | Mul() | Eq() | Le() | And():
             left, right = e.left, e.right
             if not is_literal(left):
-                path.append(FBinLeft(type(e), right))
+                path.append((e, "left"))
                 _decompose_exp(left, path, out)
                 path.pop()
             elif not is_literal(right):
-                path.append(FBinRight(type(e), left))
+                path.append((e, "right"))
                 _decompose_exp(right, path, out)
                 path.pop()
             else:
@@ -634,33 +571,31 @@ def _decompose_exp(e: Expr, path: list[Frame],
 def plug(ctx: EvalContext, filled: Redex) -> Stmt:
     """Rebuild the whole statement with `filled` at the hole of `ctx`."""
     current = filled
-    for frame in reversed(ctx):
-        current = plug_frame(frame, current)
+    for node, field in reversed(ctx):
+        current = plug_frame(node, field, current)
     return current
 
 
-def plug_frame(frame: Frame, filled: Redex) -> Redex:
-    match frame:
-        case FBinLeft(node, right):
-            return node(filled, right)
-        case FBinRight(node, left):
-            return node(left, filled)
-        case FNot():
-            return Not(filled)
-        case FSeqHead(rest):
-            return Seq(filled, rest)
-        case FIfCond(then_branch, else_branch):
-            return If(filled, then_branch, else_branch)
-        case FDeclRhs(t, name):
-            return Decl(t, name, filled)
-        case FUpdateRhs(name):
+def plug_frame(node: Redex, field: str, filled: Redex) -> Redex:
+    match node:
+        case Update(name, _):
             return Update(name, filled)
-        case FParLeft(right):
-            return Par(filled, right)
-        case FParRight(left):
-            return Par(left, filled)
-        case FProtectedBody():
+        case Decl(t, name, _):
+            return Decl(t, name, filled)
+        case If(_, then_branch, else_branch):
+            return If(filled, then_branch, else_branch)
+        case Add() | Sub() | Mul() | Eq() | Le() | And():
+            if field == "left":
+                return type(node)(filled, node.right)
+            return type(node)(node.left, filled)
+        case Not():
+            return Not(filled)
+        case Seq(_, second):
+            return Seq(filled, second)
+        case Par(left, right):
+            return Par(filled, right) if field == "left" else Par(left, filled)
+        case Protected():
             return Protected(filled)
-        case FExprStmt():
+        case ExprStmt():
             return ExprStmt(filled)
-    raise TypeError(f"not a frame: {frame!r}")
+    raise TypeError(f"not a frame: {(node, field)!r}")

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -235,6 +236,30 @@ class TestRunawayNesting:
             "whilelang: error: term nesting exceeds the recursion limit\n")
 
 
+class TestNumeralBound:
+    """Numerals have at most 4300 digits: a longer one in source is a parse
+    error, and a sum or product past it ends the run like a budget."""
+
+    # x squares each iteration and passes 4300 digits in the 14th.
+    SQUARING = ("var Nat x := 2; var Nat i := 0; "
+                "while i <= 13 do { x := x * x; i := i + 1 }")
+
+    def test_long_source_numeral_is_exit_1(self, tmp_program):
+        r = whilelang("run", tmp_program("var Nat x := " + "9" * 4301))
+        assert r.returncode == 1
+        assert r.stderr == "parse error at 1:14: numeral over 4300 digits\n"
+
+    @pytest.mark.parametrize("command", ["run", "trace", "graph", "outcomes"])
+    def test_growing_numeral_is_exit_4(self, tmp_program, command):
+        budget = ["--max-steps", "1000"] if command in ("run", "trace") else []
+        start = time.monotonic()
+        r = whilelang(command, tmp_program(self.SQUARING), *budget)
+        assert time.monotonic() - start < 10
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert r.stderr == "whilelang: error: a numeral exceeds 4300 digits\n"
+
+
 class TestDeterminism:
     # sha256 of each artifact as whilelang wrote it before the printer shared
     # subterms across configurations: a byte that changes shows here, while
@@ -293,19 +318,20 @@ class TestBenchmarkBoundaries:
 
 # A program is a few statements joined by `;` or `par`, with a few items
 # inserted anywhere: single tokens of the source vocabulary (ASCII and
-# other Unicode numerals among them) or free text. Programs without
-# insertions mostly parse, type-check and run; the rest send malformed
-# input to every stage from the tokenizer on.
+# other Unicode numerals among them, and one numeral over the 4300-digit
+# bound) or free text. Programs without insertions mostly parse, type-check
+# and run; the rest send malformed input to every stage from the tokenizer
+# on.
 FUZZ_STATEMENTS = [
     "var Nat x := 0", "var Bool y := true", "x := x + 1", "x := x - 2",
     "y := not y", "x := y", "y := x = 0", "x := ²", "x := ٣", "call p",
     "while x <= 3 do x := x + 1", "while true do x := x * 2",
     "if y then x := 1 else x := 2", "begin proc p is x := x * 2; call p end",
-    "protect x := x + 1 end", "{ x := 7 par x := 0 }",
+    "protect x := x + 1 end", "{ x := 7 par x := 0 }", "x := " + "9" * 4301,
 ]
 FUZZ_WORDS = sorted(KEYWORDS) + [
     ":=", "<=", ";", "{", "}", "(", ")", "+", "-", "*", "=", "≤", "∧", "¬",
-    "−", "//", "0", "1", "7", "²", "٣", "x", "y", "p",
+    "−", "//", "0", "1", "7", "²", "٣", "9" * 4301, "x", "y", "p",
 ]
 FUZZ_STORES = {
     "good": "({x=1, y=true}, {x=2})",

@@ -189,7 +189,16 @@ class TestRendering:
     @pytest.mark.parametrize("text", [
         "", "()", "{a=1}", "({a})", "({a=})", "({a=1} {b=2})", "({a=nope})",
         "({a=²})", "({a=٣})",
+        # more digits than Python's default int/str conversion limit
+        pytest.param("({a=" + "9" * 4301 + "})", id="numeral-of-4301-digits"),
     ])
     def test_bad_store_files(self, text):
         with pytest.raises(ValueError):
             parse_store(text)
+
+    def test_overlong_numeral_is_not_a_value(self):
+        # rejected by the numeral bound, before int() would refuse it
+        with pytest.raises(ValueError, match="not a value"):
+            parse_store("({a=" + "9" * 4301 + "})")
+        assert parse_store("({a=" + "9" * 4300 + "})") == \
+            Env((Frame((("a", NatLit(int("9" * 4300))),)),))
