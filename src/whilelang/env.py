@@ -142,19 +142,19 @@ def parse_store(text: str) -> Env:
     """Read a variable store back from its canonical rendering."""
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"store must be wrapped in parentheses: {text!r}")
+        raise ValueError(f"store must be wrapped in parentheses: {_excerpt(text)}")
     frames: list[Frame] = []
     rest = body[1:-1].strip()
     while rest:
         if not rest.startswith("{"):
-            raise ValueError(f"expected a frame at {rest!r}")
+            raise ValueError(f"expected a frame at {_excerpt(rest)}")
         close = rest.index("}")
         frames.append(_parse_frame(rest[1:close]))
         rest = rest[close + 1:].lstrip()
         if rest.startswith(","):
             rest = rest[1:].lstrip()
         elif rest:
-            raise ValueError(f"expected ',' between frames at {rest!r}")
+            raise ValueError(f"expected ',' between frames at {_excerpt(rest)}")
     if not frames:
         raise ValueError("a store has at least one frame")
     return Env(tuple(frames))
@@ -168,9 +168,15 @@ def _parse_frame(body: str) -> Frame:
             name, _, raw = part.partition("=")
             name, raw = name.strip(), raw.strip()
             if not name or not raw:
-                raise ValueError(f"malformed binding {part!r}")
+                raise ValueError(f"malformed binding {_excerpt(part)}")
             entries.append((name, _parse_value(raw)))
     return Frame(tuple(entries))
+
+
+def _excerpt(text: str) -> str:
+    """`text` quoted for a one-line error, cut to its first 32 characters."""
+    cut = f"… ({len(text)} characters)" if len(text) > 32 else ""
+    return repr(text[:32]) + cut
 
 
 def _parse_value(raw: str) -> Value:
@@ -182,4 +188,4 @@ def _parse_value(raw: str) -> Value:
         return VoidV()
     if raw.isascii() and raw.isdigit() and len(raw) <= MAX_NUMERAL_DIGITS:
         return NatLit(int(raw))
-    raise ValueError(f"not a value: {raw!r}")
+    raise ValueError(f"not a value: {_excerpt(raw)}")

@@ -23,7 +23,7 @@ from .env import render_procs, render_store
 from .semantics import (
     Configuration, StuckInfo, diagnose, is_terminal, successors,
 )
-from .syntax import Printer, Redex, Value, pretty, pretty_expr, value_text
+from .syntax import EXPR_CLASSES, Printer, Redex, Value, pretty, pretty_expr, value_text
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_STATES = 50_000
@@ -218,10 +218,9 @@ def _status_line(t: Trace) -> dict:
 
 
 def _render_redex(at: Redex) -> str:
-    try:
-        return pretty(at)
-    except TypeError:
+    if isinstance(at, EXPR_CLASSES):
         return pretty_expr(at)
+    return pretty(at)
 
 
 def to_json_trace(t: Trace) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 
 class TypeName(enum.Enum):
@@ -109,6 +109,7 @@ class Not:
 AExp = Union[NatLit, Var, Add, Sub, Mul]
 BExp = Union[TrueLit, FalseLit, Var, Eq, Le, And, Not]
 Expr = Union[AExp, BExp]
+EXPR_CLASSES: tuple[type, ...] = get_args(Expr)
 
 TRUE = TrueLit()
 FALSE = FalseLit()
@@ -313,7 +314,9 @@ class Printer:
     is stored without its braces, which depend only on the caller's level,
     so one entry serves every level. `advance()` ends one statement of the
     series and drops every entry that neither it nor the statement before
-    touched, so the memo holds about two statements' nodes.
+    touched, so the memo holds about two statements' nodes. Without
+    `advance()` it memoizes the whole series: `render_derivation` prints a
+    derivation's subjects so, and each below one already printed is a hit.
     """
 
     def __init__(self) -> None:

@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Add, And, Begin, Call, Decl, Empty, Eq, Expr, FalseLit, If, Le, Mul,
-    NatLit, Not, Par, ProcDecl, Protect, Redex, Seq, Stmt, Sub, TrueLit,
-    TypeName, Update, Var, While, is_source_form, pretty, pretty_expr,
+    EXPR_CLASSES, Add, And, Begin, Call, Decl, Empty, Eq, Expr, FalseLit, If,
+    Le, Mul, NatLit, Not, Par, Printer, ProcDecl, Protect, Redex, Seq, Stmt,
+    Sub, TrueLit, TypeName, Update, Var, While, is_source_form, pretty,
+    pretty_expr,
 )
 
 
@@ -114,10 +115,9 @@ class TypeCheckError(Exception):
 
 
 def _show(subject: Redex) -> str:
-    try:
-        return pretty(subject)
-    except TypeError:
+    if isinstance(subject, EXPR_CLASSES):
         return pretty_expr(subject)
+    return pretty(subject)
 
 
 def _mismatch(rule: str, location: Redex, expected: TypeName,
@@ -277,15 +277,27 @@ def check_program(s: Stmt) -> Judgment:
 
 
 def render_derivation(j: Judgment) -> str:
-    """Indented one-line-per-judgment rendering of a derivation tree."""
+    """Indented one-line-per-judgment rendering of a derivation tree; each
+    subject and each environment object is printed once."""
     lines: list[str] = []
+    printer = Printer()
+    # Keyed by identity, and each entry holds its object, as in `Printer`.
+    envs: dict[int, tuple[TypeEnv | ProcTypeEnv, str]] = {}
+
+    def env(g: TypeEnv | ProcTypeEnv) -> str:
+        entry = envs.get(id(g))
+        if entry is None:
+            entry = envs[id(g)] = (g, g.render())
+        return entry[1]
 
     def walk(node: Judgment, depth: int) -> None:
+        s = node.subject
+        text = pretty_expr(s) if isinstance(s, EXPR_CLASSES) else printer.stmt(s)
         lines.append(
             "  " * depth
-            + f"{node.rule}: {node.gamma_in.render()} {node.delta_in.render()}"
-            + f" ⊢ {_show(node.subject)} : {node.type.value}"
-            + f" ⊣ {node.gamma_out.render()} {node.delta_out.render()}"
+            + f"{node.rule}: {env(node.gamma_in)} {env(node.delta_in)}"
+            + f" ⊢ {text} : {node.type.value}"
+            + f" ⊣ {env(node.gamma_out)} {env(node.delta_out)}"
         )
         for child in node.children:
             walk(child, depth + 1)

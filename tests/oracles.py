@@ -9,7 +9,7 @@ from whilelang.semantics import Configuration, successors
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, ExprStmt,
     FalseLit, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected, Seq,
-    Stmt, Sub, TrueLit, Update, ValStmt, Var, While, If, pretty,
+    Stmt, Sub, TrueLit, Update, ValStmt, Var, While, If, pretty, pretty_expr,
 )
 
 
@@ -94,7 +94,7 @@ def oracle_is_redex(node) -> bool:
     if isinstance(node, Protected):
         return isinstance(node.body, ValStmt)
     if isinstance(node, If):
-        return is_value_node(node.cond)
+        return isinstance(node.cond, (TrueLit, FalseLit))
     if isinstance(node, (Decl, Update)):
         return is_value_node(node.rhs)
     if isinstance(node, ExprStmt):
@@ -120,6 +120,26 @@ def scan_lookup(env: Env, name: str):
 
 def render_config(c: Configuration) -> str:
     return f"{pretty(c.stmt)} | {render_store(c.store)} | {render_procs(c.procs)}"
+
+
+def oracle_render_derivation(j) -> str:
+    """A derivation rendered judgment by judgment, each subject and
+    environment printed from scratch."""
+    lines = []
+
+    def walk(node, depth):
+        subject = node.subject
+        text = pretty_expr(subject) if _is_expr(subject) else pretty(subject)
+        lines.append(
+            "  " * depth
+            + f"{node.rule}: {node.gamma_in.render()} {node.delta_in.render()}"
+            + f" ⊢ {text} : {node.type.value}"
+            + f" ⊣ {node.gamma_out.render()} {node.delta_out.render()}")
+        for child in node.children:
+            walk(child, depth + 1)
+
+    walk(j, 0)
+    return "\n".join(lines) + "\n"
 
 
 def dfs_reachable_renderings(c0: Configuration, limit: int = 100_000):

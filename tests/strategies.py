@@ -93,6 +93,7 @@ def _extend_runtime(kids):
         _extend_source(kids, allow_par=True),
         st.builds(Protected, kids),
         st.builds(ProcDecl, proc_names, kids),
+        st.builds(If, st.builds(NatLit, st.integers(0, 9)), kids, kids),
     )
 
 

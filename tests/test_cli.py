@@ -204,6 +204,12 @@ class TestUsageAndIOErrors:
                       "--initial-store", store_file("({x=1"))
         self.assert_usage_error(r, "malformed store file")
 
+    def test_long_store_value_is_not_echoed(self, tmp_program, store_file):
+        r = whilelang("run", tmp_program("a := 1"),
+                      "--initial-store", store_file("({a=" + "9" * 4301 + "})"))
+        self.assert_usage_error(r, "not a value")
+        assert len(r.stderr) < 200
+
     def test_zero_state_budget(self, tmp_program):
         r = whilelang("outcomes", tmp_program("var Nat x := 1"),
                       "--max-states", "0")
@@ -276,6 +282,14 @@ class TestDeterminism:
          "ac0349c3ba16a404642eb38218e7fa6ecc2d0a0072bd1b2d84f67f89c2befe92"),
         ("outcomes", "programs/logic_gates.whl",
          "4fa86c0a219ad846a03020b87f14656adfd041ba6592c3a7795e6c3b0014ac41"),
+        # Derivations, written before subjects and environments were
+        # printed once per walk
+        ("check", "programs/nested_loops.whl",
+         "c4e5c39d2e3b1f3d59d3ed966ea8ab620ab2b776a491d1c1b94dd1ffd6078a9f"),
+        ("check", "programs/two_procs.whl",
+         "8da7ea003a54a33b56700edc29bae81cc1ee2079311310395420787bf2a1e215"),
+        ("check", "programs/bool_roundtrip.whl",
+         "f0ffaf29a2c092e9b682048eaefd4c4ff3e476254f79add83ecf411006bf13a3"),
     ]
 
     @pytest.mark.parametrize("command, program, digest", GOLDENS)
@@ -285,7 +299,8 @@ class TestDeterminism:
         path = program or tmp_program(
             "var Nat x := 0; { protect x := x + 1; x := x * 2 end } par x := 10")
         out = tmp_path / "artifact"
-        r = whilelang(command, path, "--out", str(out))
+        derivation = ["--emit-derivation"] if command == "check" else []
+        r = whilelang(command, path, *derivation, "--out", str(out))
         assert r.returncode == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

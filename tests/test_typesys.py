@@ -1,10 +1,15 @@
 """Typing judgments, environment algebra, derivations, error rendering."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import exprs, parfree_source_stmts, source_stmts
+from oracles import oracle_render_derivation
+from strategies import (
+    PROC_POOL, exprs, parfree_source_stmts, source_stmts,
+)
 
 from whilelang.parser import parse_program
 from whilelang.syntax import (
@@ -20,6 +25,8 @@ from whilelang.typesys import (
 NAT = TypeName.NAT
 BOOL = TypeName.BOOL
 CMD = TypeName.CMD
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def tenv(*pairs) -> TypeEnv:
@@ -232,6 +239,35 @@ class TestDerivations:
             if text in seen:
                 assert seen[text] == node
             seen[text] = node
+
+
+class TestRenderingMatchesOracle:
+    """`render_derivation` prints shared subjects and environments once; the
+    oracle prints every judgment from scratch."""
+
+    # Environments binding the whole name pools, so that most generated
+    # statements type-check; from empty ones few do.
+    SEEDED = (
+        TypeEnv((("a", NAT), ("b", NAT), ("c", NAT), ("x", NAT),
+                 ("y", BOOL), ("z", BOOL), ("w", NAT))),
+        ProcTypeEnv(tuple((p, TypeEnv()) for p in PROC_POOL)),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(source_stmts)
+    def test_generated_statements(self, stmt):
+        for gamma, delta in ((TypeEnv(), ProcTypeEnv()), self.SEEDED):
+            try:
+                j = type_of_stmt(gamma, delta, stmt)
+            except TypeCheckError:
+                continue
+            assert render_derivation(j) == oracle_render_derivation(j)
+
+    def test_corpus(self):
+        # Every corpus program type-checks, the counterexamples included.
+        for path in sorted(PROGRAMS.glob("**/*.whl")):
+            j = check_program(parse_program(path.read_text("utf-8")))
+            assert render_derivation(j) == oracle_render_derivation(j), path
 
 
 class TestCheckerProperties:
