@@ -148,7 +148,9 @@ def parse_store(text: str) -> Env:
     while rest:
         if not rest.startswith("{"):
             raise ValueError(f"expected a frame at {_excerpt(rest)}")
-        close = rest.index("}")
+        close = rest.find("}")
+        if close < 0:
+            raise ValueError(f"expected '}}' to close the frame at {_excerpt(rest)}")
         frames.append(_parse_frame(rest[1:close]))
         rest = rest[close + 1:].lstrip()
         if rest.startswith(","):

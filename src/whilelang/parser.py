@@ -3,7 +3,7 @@
 Statement grammar, loosest operator first:
 
     stmt    ::= seq ('par' seq)*                  -- left-associative
-    seq     ::= simple (';' seq)?                 -- right-associative
+    seq     ::= simple (';' simple)*              -- right-associative
     simple  ::= 'var' type NAME ':=' expr
               | NAME ':=' expr
               | 'if' expr 'then' simple 'else' simple
@@ -24,9 +24,15 @@ Expressions: and < (= | <=) < (+ | -) < * < not < atom, with 'and' right-
 associative and '+'/'-'/'*' left-associative. '=' and '<=' take arithmetic
 operands; 'and'/'not' take boolean ones. A right-hand side that is a bare
 variable or arithmetic expression parses as arithmetic; true/false/not/and
-and comparisons mark it boolean. Unicode spellings of the operators
-(≤ ∧ ¬ −) are accepted, but numerals are up to 4300 ASCII digits and names
-ASCII letters, digits and '_'. Comments run from '//' to the end of the line.
+and comparisons mark it boolean. An expression is read straight into the
+syntax nodes, and its sorts are checked once it is read, root first and
+left to right: the first node of the wrong sort is the one reported.
+
+The scanner is one regular expression, run over the whole source before
+parsing, so a bad character is reported before any syntax error. Unicode
+spellings of the operators (≤ ∧ ¬ −) are accepted, but numerals are up to
+4300 ASCII digits and names ASCII letters, digits and '_'. Comments run
+from '//' to the end of the line.
 
 The runtime-only keywords (beginscope, endscope, protected) are reserved
 and rejected in source.
@@ -34,27 +40,39 @@ and rejected in source.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .syntax import (
     MAX_NUMERAL_DIGITS, Add, And, Begin, Call, Decl, Eq, Expr, FalseLit, If,
     Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Seq, Stmt, Sub, TrueLit,
-    TypeName, Update, Var, While,
+    TypeName, Update, Var, While, is_literal,
 )
 
+RUNTIME_KEYWORDS = {"beginscope", "endscope", "protected"}
+
+# The runtime-only keywords are reserved so they can never appear in source.
 KEYWORDS = {
     "var", "if", "then", "else", "while", "do", "begin", "end", "proc",
     "is", "call", "par", "protect", "true", "false", "void", "and", "not",
     "Nat", "Bool", "Cmd",
-    # runtime-only, reserved so they can never appear in source
-    "beginscope", "endscope", "protected",
-}
-
-RUNTIME_KEYWORDS = {"beginscope", "endscope", "protected"}
-
-_SYMBOLS = (":=", "<=", ";", "{", "}", "(", ")", "+", "-", "*", "=")
+} | RUNTIME_KEYWORDS
 
 _ALIASES = {"≤": "<=", "∧": "and", "¬": "not", "−": "-"}
+
+# Alternatives are tried in order, and `bad` takes any other character.
+# `\s` is the set `str.isspace` accepts; each character but '\n' is a column.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[^\S\n]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<alias>[≤∧¬−])
+  | (?P<number>[0-9]+)
+  | (?P<word>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<symbol>:=|<=|[;{}()+*=-])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
 class ParseError(Exception):
@@ -73,8 +91,7 @@ class ParseError(Exception):
         return text
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "keyword" | "ident" | "number" | "symbol" | "eof"
     text: str
     line: int
@@ -83,110 +100,47 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "space" or kind == "comment":
+            continue
+        start = match.start()
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = start + 1
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _ALIASES:
-            alias = _ALIASES[ch]
-            kind = "keyword" if alias.isalpha() else "symbol"
-            tokens.append(Token(kind, alias, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            if j - i > MAX_NUMERAL_DIGITS:
-                raise ParseError(f"numeral over {MAX_NUMERAL_DIGITS} digits", line, col)
-            tokens.append(Token("number", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() and ch.isascii():
-            j = i
-            while j < n and (source[j].isascii() and
-                             (source[j].isalnum() or source[j] == "_")):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("symbol", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        text = match.group()
+        col = start - line_start + 1
+        if kind == "word":
+            kind = "keyword" if text in KEYWORDS else "ident"
+        elif kind == "number" and len(text) > MAX_NUMERAL_DIGITS:
+            raise ParseError(f"numeral over {MAX_NUMERAL_DIGITS} digits", line, col)
+        elif kind == "alias":
+            text = _ALIASES[text]
+            kind = "keyword" if text.isalpha() else "symbol"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    # A comment does not advance the column, so end of input sits where a
+    # comment on the last line starts: its first '//', since any other '/'
+    # is a bad character.
+    column = len(source[line_start:].partition("//")[0]) + 1
+    tokens.append(Token("eof", "", line, column))
     return tokens
 
 
-# Raw expression tree, classified into AExp/BExp after parsing.
-
-@dataclass(frozen=True)
-class _RNum:
-    n: int
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class _RVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class _RBool:
-    value: bool
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class _RBin:
-    op: str
-    left: "_Raw"
-    right: "_Raw"
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class _RNot:
-    operand: "_Raw"
-    line: int
-    column: int
-
-
-_Raw = object
-
-_ARITH_NODES = {"+": Add, "-": Sub, "*": Mul}
-_CMP_NODES = {"=": Eq, "<=": Le}
+_BINARY = {"=": Eq, "<=": Le, "+": Add, "-": Sub}
+_BOOLEAN = (TrueLit, FalseLit, Not, And, Eq, Le)
 
 
 @dataclass
 class _Parser:
     tokens: list[Token]
     pos: int = field(default=0)
+    # The token of each expression node a sort error can point at, keyed by
+    # id(); each entry holds its node, so no other object can take the id.
+    positions: dict[int, tuple[Expr, Token]] = field(default_factory=dict)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -231,11 +185,15 @@ class _Parser:
         return stmt
 
     def parse_seq(self) -> Stmt:
-        first = self.parse_simple()
-        if self.at("symbol", ";"):
+        # A loop, not recursion: a long straight line costs no stack.
+        stmts = [self.parse_simple()]
+        while self.at("symbol", ";"):
             self.advance()
-            return Seq(first, self.parse_seq())
-        return first
+            stmts.append(self.parse_simple())
+        stmt = stmts.pop()
+        while stmts:
+            stmt = Seq(stmts.pop(), stmt)
+        return stmt
 
     def parse_simple(self) -> Stmt:
         tok = self.peek()
@@ -328,106 +286,87 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         """Right-hand side of := — boolean or arithmetic, told apart by shape."""
-        raw = self.parse_raw_and()
-        if _raw_is_boolean(raw):
-            return self.to_bexp(raw)
-        return self.to_aexp(raw)
+        e = self.parse_and()
+        self.check_sort(e, isinstance(e, _BOOLEAN))
+        return e
 
     def parse_bexp(self) -> Expr:
-        return self.to_bexp(self.parse_raw_and())
+        e = self.parse_and()
+        self.check_sort(e, True)
+        return e
 
-    def parse_raw_and(self) -> _Raw:
-        left = self.parse_raw_cmp()
+    def placed(self, e: Expr, tok: Token) -> Expr:
+        self.positions[id(e)] = (e, tok)
+        return e
+
+    def parse_and(self) -> Expr:
+        left = self.parse_cmp()
         if self.at("keyword", "and"):
             tok = self.advance()
-            return _RBin("and", left, self.parse_raw_and(), tok.line, tok.column)
+            return self.placed(And(left, self.parse_and()), tok)
         return left
 
-    def parse_raw_cmp(self) -> _Raw:
-        left = self.parse_raw_add()
+    def parse_cmp(self) -> Expr:
+        left = self.parse_add()
         if self.at("symbol", "=") or self.at("symbol", "<="):
             tok = self.advance()
-            return _RBin(tok.text, left, self.parse_raw_add(), tok.line, tok.column)
+            return self.placed(_BINARY[tok.text](left, self.parse_add()), tok)
         return left
 
-    def parse_raw_add(self) -> _Raw:
-        left = self.parse_raw_mul()
+    def parse_add(self) -> Expr:
+        left = self.parse_mul()
         while self.at("symbol", "+") or self.at("symbol", "-"):
             tok = self.advance()
-            left = _RBin(tok.text, left, self.parse_raw_mul(), tok.line, tok.column)
+            left = self.placed(_BINARY[tok.text](left, self.parse_mul()), tok)
         return left
 
-    def parse_raw_mul(self) -> _Raw:
-        left = self.parse_raw_unary()
+    def parse_mul(self) -> Expr:
+        left = self.parse_unary()
         while self.at("symbol", "*"):
             tok = self.advance()
-            left = _RBin("*", left, self.parse_raw_unary(), tok.line, tok.column)
+            left = self.placed(Mul(left, self.parse_unary()), tok)
         return left
 
-    def parse_raw_unary(self) -> _Raw:
+    def parse_unary(self) -> Expr:
         if self.at("keyword", "not"):
             tok = self.advance()
-            return _RNot(self.parse_raw_unary(), tok.line, tok.column)
-        return self.parse_raw_atom()
+            return self.placed(Not(self.parse_unary()), tok)
+        return self.parse_atom()
 
-    def parse_raw_atom(self) -> _Raw:
+    def parse_atom(self) -> Expr:
+        # Each literal is a fresh node, so each has its own position.
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return _RNum(int(tok.text), tok.line, tok.column)
+            return self.placed(NatLit(int(tok.text)), tok)
         if tok.kind == "ident":
             self.advance()
-            return _RVar(tok.text)
+            return Var(tok.text)
         if tok.kind == "keyword" and tok.text in ("true", "false"):
             self.advance()
-            return _RBool(tok.text == "true", tok.line, tok.column)
+            return self.placed(TrueLit() if tok.text == "true" else FalseLit(), tok)
         if tok.kind == "symbol" and tok.text == "(":
             self.advance()
-            inner = self.parse_raw_and()
+            inner = self.parse_and()
             self.expect("symbol", ")")
             return inner
         self.fail(frozenset({"number", "identifier", "true", "false", "("}))
 
-    def to_aexp(self, raw: _Raw) -> Expr:
-        match raw:
-            case _RNum(n):
-                return NatLit(n)
-            case _RVar(name):
-                return Var(name)
-            case _RBin(op, left, right, _, _) if op in _ARITH_NODES:
-                return _ARITH_NODES[op](self.to_aexp(left), self.to_aexp(right))
-            case _RBin(_, _, _, line, column) | _RNot(_, line, column) | \
-                    _RBool(_, line, column):
-                raise ParseError("boolean expression in arithmetic position",
-                                 line, column)
-        raise AssertionError(raw)
-
-    def to_bexp(self, raw: _Raw) -> Expr:
-        match raw:
-            case _RBool(value):
-                return TrueLit() if value else FalseLit()
-            case _RVar(name):
-                return Var(name)
-            case _RBin("and", left, right, _, _):
-                return And(self.to_bexp(left), self.to_bexp(right))
-            case _RBin(op, left, right, _, _) if op in _CMP_NODES:
-                return _CMP_NODES[op](self.to_aexp(left), self.to_aexp(right))
-            case _RNot(operand, _, _):
-                return Not(self.to_bexp(operand))
-            case _RBin(_, _, _, line, column) | _RNum(_, line, column):
-                raise ParseError("arithmetic expression in boolean position",
-                                 line, column)
-        raise AssertionError(raw)
-
-
-def _raw_is_boolean(raw: _Raw) -> bool:
-    match raw:
-        case _RBool(_) | _RNot(_, _, _):
-            return True
-        case _RBin(op, _, _, _, _):
-            return op in ("and", "=", "<=")
-        case _:
-            return False
+    def check_sort(self, e: Expr, boolean: bool) -> None:
+        """Raise at the first node of `e`, root first and left to right, whose
+        sort is not the one its position takes; a variable takes either."""
+        if isinstance(e, Var):
+            return
+        if isinstance(e, _BOOLEAN) != boolean:
+            tok = self.positions[id(e)][1]
+            message = ("arithmetic expression in boolean position" if boolean
+                       else "boolean expression in arithmetic position")
+            raise ParseError(message, tok.line, tok.column)
+        if isinstance(e, Not):
+            self.check_sort(e.operand, True)
+        elif not is_literal(e):
+            self.check_sort(e.left, isinstance(e, And))
+            self.check_sort(e.right, isinstance(e, And))
 
 
 def parse_program(text: str) -> Stmt:

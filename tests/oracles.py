@@ -5,12 +5,79 @@ library's decomposition/graph machinery.
 """
 
 from whilelang.env import Env, render_procs, render_store
+from whilelang.parser import KEYWORDS, ParseError, Token
 from whilelang.semantics import Configuration, successors
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, ExprStmt,
     FalseLit, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected, Seq,
-    Stmt, Sub, TrueLit, Update, ValStmt, Var, While, If, pretty, pretty_expr,
+    Stmt, Sub, TrueLit, Update, ValStmt, Var, While, If, MAX_NUMERAL_DIGITS,
+    pretty, pretty_expr,
 )
+
+
+_SYMBOLS = (":=", "<=", ";", "{", "}", "(", ")", "+", "-", "*", "=")
+
+_ALIASES = {"≤": "<=", "∧": "and", "¬": "not", "−": "-"}
+
+
+def oracle_tokenize(source: str) -> list[Token]:
+    """The tokenizer as a character loop, one character class at a time."""
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch in _ALIASES:
+            alias = _ALIASES[ch]
+            kind = "keyword" if alias.isalpha() else "symbol"
+            tokens.append(Token(kind, alias, line, col))
+            i += 1
+            col += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= source[j] <= "9":
+                j += 1
+            if j - i > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral over {MAX_NUMERAL_DIGITS} digits", line, col)
+            tokens.append(Token("number", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() and ch.isascii():
+            j = i
+            while j < n and (source[j].isascii() and
+                             (source[j].isalnum() or source[j] == "_")):
+                j += 1
+            word = source[i:j]
+            kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if source.startswith(sym, i):
+                tokens.append(Token("symbol", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
 
 
 def is_value_node(e) -> bool:

@@ -107,6 +107,14 @@ class TestRun:
                       "--max-steps", "10")
         assert r.returncode == 4
 
+    def test_long_straight_line(self, tmp_program):
+        # `;` is read in a loop, so the parser takes no stack per statement
+        text = "var Nat x := 0; " + "; ".join(
+            f"x := x + {i}" for i in range(1, 3001))
+        r = whilelang("run", tmp_program(text))
+        assert r.returncode == 0
+        assert r.stdout == "void ({x=4501500})\n"
+
     def test_checked_flag_stops_type_errors(self, tmp_program):
         r = whilelang("run", tmp_program("var Nat x := true"), "--checked")
         assert r.returncode == 2

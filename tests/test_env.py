@@ -196,6 +196,15 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse_store(text)
 
+    @pytest.mark.parametrize("text,rest", [
+        ("({x=1)", "{x=1"),
+        ("({x=1}, {y=2)", "{y=2"),
+    ])
+    def test_unclosed_frame_is_named(self, text, rest):
+        with pytest.raises(ValueError) as info:
+            parse_store(text)
+        assert str(info.value) == f"expected '}}' to close the frame at {rest!r}"
+
     def test_overlong_numeral_is_not_a_value(self):
         # rejected by the numeral bound, before int() would refuse it
         with pytest.raises(ValueError, match="not a value"):

@@ -1,12 +1,15 @@
 """Parser, pretty-printer, and decomposition machinery."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import runtime_stmts, source_stmts
-from oracles import oracle_redex_positions
+from oracles import oracle_redex_positions, oracle_tokenize
 
-from whilelang.parser import ParseError, parse_program, tokenize
+from whilelang.parser import KEYWORDS, ParseError, parse_program, tokenize
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, Eq, ExprStmt, FalseLit,
     If, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected, Seq, Sub,
@@ -159,6 +162,18 @@ class TestParseErrors:
         # Python's default int/str conversion limit is 4300 digits
         pytest.param("var Nat x := " + "9" * 4301, (1, 14),
                      "numeral over 4300 digits", id="numeral-of-4301-digits"),
+        # sorts are checked once the expression is read, root first and
+        # left to right, so the first wrong node is reported
+        ("x := (1 and 2) + 3", (1, 9), "boolean expression in arithmetic position"),
+        ("x := not (1 + true)", (1, 13), "arithmetic expression in boolean position"),
+        ("x := true + true", (1, 6), "boolean expression in arithmetic position"),
+        ("while (1 = true) and 2 do x := 1", (1, 12),
+         "boolean expression in arithmetic position"),
+        ("x := 1 ≤ ¬ 2", (1, 10), "boolean expression in arithmetic position"),
+        # a syntax error ends the expression before its sorts are checked
+        ("x := (true + 1) + (", (1, 20), "unexpected 'end of input'"),
+        # end of input after a comment sits where the comment starts
+        ("x := // note", (1, 6), "unexpected 'end of input'"),
     ])
     def test_error_points_at_offending_token(self, text, position, message):
         with pytest.raises(ParseError) as info:
@@ -169,6 +184,40 @@ class TestParseErrors:
     def test_runtime_keyword_message(self):
         with pytest.raises(ParseError, match="runtime-only keyword"):
             parse_program("beginscope")
+
+
+# Pieces of source text for the differential tokenizer test: tokens of
+# every class, comment starts, line ends and other whitespace, the Unicode
+# operator spellings, and characters that are alphabetic or numeric to
+# Python yet rejected in source.
+TOKEN_PIECES = sorted(KEYWORDS) + [
+    "x", "y_1", "Ab9", "0", "42", "007", "9" * 4301,
+    ":=", "<=", ";", "{", "}", "(", ")", "+", "-", "*", "=", ":", "<", "/",
+    "//", "\n", "\r", "\t", " ", "\xa0", "\u2028", "\x85",
+    "≤", "∧", "¬", "−", "²", "٣", "é",
+]
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+
+
+def _scan(tokenizer, text):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenizer(text)]
+    except ParseError as e:
+        return ("error", e.message, e.line, e.column)
+
+
+class TestTokenizeMatchesOracle:
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=30).map("".join))
+    def test_token_soup(self, text):
+        assert _scan(tokenize, text) == _scan(oracle_tokenize, text)
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("**/*.whl")),
+                             ids=lambda p: p.name)
+    def test_sample_programs(self, path):
+        text = path.read_text("utf-8")
+        assert _scan(tokenize, text) == _scan(oracle_tokenize, text)
 
 
 class TestPretty:
