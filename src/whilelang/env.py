@@ -36,7 +36,7 @@ class ScopeError(EnvError):
     """Attempt to pop the global scope; indicates a bug in the semantics."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     entries: tuple[tuple[str, object], ...] = ()
 
@@ -46,18 +46,24 @@ class Frame:
                 return value
         raise KeyError(name)
 
+    # `__contains__` and `rebind` run on every lookup, update and
+    # declaration, so they use a plain loop and a list comprehension, not
+    # generator expressions.
     def __contains__(self, name: str) -> bool:
-        return any(key == name for key, _ in self.entries)
+        for key, _ in self.entries:
+            if key == name:
+                return True
+        return False
 
     def bind(self, name: str, value) -> "Frame":
         return Frame(self.entries + ((name, value),))
 
     def rebind(self, name: str, value) -> "Frame":
-        return Frame(tuple((k, value if k == name else v)
-                           for k, v in self.entries))
+        return Frame(tuple([(k, value if k == name else v)
+                            for k, v in self.entries]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Env:
     frames: tuple[Frame, ...] = (Frame(),)
 
@@ -163,7 +169,7 @@ def parse_store(text: str) -> Env:
 
 
 def _parse_frame(body: str) -> Frame:
-    entries: list[tuple[str, Value]] = []
+    entries: dict[str, Value] = {}
     body = body.strip()
     if body:
         for part in body.split(","):
@@ -171,8 +177,10 @@ def _parse_frame(body: str) -> Frame:
             name, raw = name.strip(), raw.strip()
             if not name or not raw:
                 raise ValueError(f"malformed binding {_excerpt(part)}")
-            entries.append((name, _parse_value(raw)))
-    return Frame(tuple(entries))
+            if name in entries:
+                raise ValueError(f"duplicate binding {_excerpt(name)}")
+            entries[name] = _parse_value(raw)
+    return Frame(tuple(entries.items()))
 
 
 def _excerpt(text: str) -> str:

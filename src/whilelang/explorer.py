@@ -118,7 +118,7 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
         raise ValueError("budgets must be at least 1")
     index = {c0: 0}
     nodes = [c0]
-    depth = {0: 0}
+    depth = [0]
     edges: list[tuple[int, str, int]] = []
     unexpanded: set[int] = set()
     truncated = False
@@ -132,19 +132,19 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
                 unexpanded.add(src)
             continue
         for step in options:
-            target = step.next
-            if target in index:
-                edges.append((src, step.rule, index[target]))
-                continue
-            if len(nodes) >= max_states:
-                truncated = True
-                unexpanded.add(src)
-                continue
-            index[target] = len(nodes)
-            depth[len(nodes)] = depth[src] + 1
-            nodes.append(target)
-            edges.append((src, step.rule, index[target]))
-            frontier.append(index[target])
+            # One hash and lookup per successor: a new state takes the
+            # next index, and the entry is taken back if the budget is full.
+            dst = index.setdefault(step.next, len(nodes))
+            if dst == len(nodes):
+                if dst >= max_states:
+                    del index[step.next]
+                    truncated = True
+                    unexpanded.add(src)
+                    continue
+                nodes.append(step.next)
+                depth.append(depth[src] + 1)
+                frontier.append(dst)
+            edges.append((src, step.rule, dst))
     return ReductionGraph(tuple(nodes), tuple(edges), truncated,
                           frozenset(unexpanded))
 

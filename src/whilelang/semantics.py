@@ -38,7 +38,7 @@ from .syntax import (
     MAX_NUMERAL_DIGITS, Add, And, Begin, BeginScope, Call, Decl, Empty,
     EndScope, Eq, EvalContext, Expr, ExprStmt, FalseLit, If, Le, Mul, NatLit,
     Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub, TRUE,
-    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, While, decompose,
+    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, decompose,
     hole_class, plug_frame, protected_pred,
 )
 
@@ -46,20 +46,20 @@ _EXPR_REDEXES = (Var, Add, Sub, Mul, Eq, Le, And, Not)
 _NUMERAL_LIMIT = 10 ** MAX_NUMERAL_DIGITS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     store: Env
     procs: Env
     stmt: Stmt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepResult:
     rule: str
     next: Configuration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StuckInfo:
     at: Redex
     reason: str
@@ -224,7 +224,10 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
     for node, field in reversed(ctx):
         match node:
             case Seq(_, rest):
-                if current == VOID_STMT:
+                # Class tests, not `== VOID_STMT`: this runs once per frame
+                # of every step, and dataclass __eq__ builds two tuples.
+                if isinstance(current, ValStmt) and \
+                        isinstance(current.value, VoidV):
                     components.append("Seq2")
                     current = rest
                 else:

@@ -40,7 +40,7 @@ class TypeName(enum.Enum):
 # `Var` belongs to both expression classes; which literals may fill a
 # variable occurrence is decided by the hole it sits in (see hole_class).
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatLit:
     n: int
 
@@ -50,58 +50,58 @@ class NatLit:
 MAX_NUMERAL_DIGITS = 4300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueLit:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseLit:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Le:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "BExp"
     right: "BExp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     operand: "BExp"
 
@@ -124,7 +124,7 @@ def is_literal(e: Expr) -> bool:
 # Values: the literals above, and `void` for a finished statement. A store
 # binds names to values, and `ValStmt` holds one in statement position.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoidV:
     pass
 
@@ -139,95 +139,95 @@ def value_text(v: Value) -> str:
 # ---------------------------------------------------------------------------
 # Statements
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq:
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     cond: BExp
     then_branch: "Stmt"
     else_branch: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class While:
     cond: BExp
     body: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decl:
     type_name: TypeName
     name: str
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update:
     name: str
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcDecl:
     name: str
     body: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Begin:
     decls: tuple[Decl, ...]
     procs: tuple[ProcDecl, ...]
     body: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par:
     left: "Stmt"
     right: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Protect:
     body: "Stmt"
 
 
 # Runtime-only statements.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Protected:
     body: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeginScope:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndScope:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExprStmt:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValStmt:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty:
     pass
 

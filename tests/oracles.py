@@ -4,6 +4,8 @@ Everything here trades speed for obviousness and deliberately avoids the
 library's decomposition/graph machinery.
 """
 
+from collections import deque
+
 from whilelang.env import Env, render_procs, render_store
 from whilelang.parser import KEYWORDS, ParseError, Token
 from whilelang.semantics import Configuration, successors
@@ -224,3 +226,40 @@ def dfs_reachable_renderings(c0: Configuration, limit: int = 100_000):
         for step in successors(c):
             stack.append(step.next)
     return seen
+
+
+def oracle_explore(c0: Configuration, max_states: int, max_depth: int,
+                   reduce: bool):
+    """The explorer's breadth-first search with a membership test before
+    each insertion and depths in a dict: (nodes, edges, truncated,
+    unexpanded) as `explore` returns them."""
+    index = {c0: 0}
+    nodes = [c0]
+    depth = {0: 0}
+    edges = []
+    unexpanded = set()
+    truncated = False
+    frontier = deque([0])
+    while frontier:
+        src = frontier.popleft()
+        options = successors(nodes[src], reduce)
+        if depth[src] >= max_depth:
+            if options:
+                truncated = True
+                unexpanded.add(src)
+            continue
+        for step in options:
+            target = step.next
+            if target in index:
+                edges.append((src, step.rule, index[target]))
+                continue
+            if len(nodes) >= max_states:
+                truncated = True
+                unexpanded.add(src)
+                continue
+            index[target] = len(nodes)
+            depth[len(nodes)] = depth[src] + 1
+            nodes.append(target)
+            edges.append((src, step.rule, index[target]))
+            frontier.append(index[target])
+    return tuple(nodes), tuple(edges), truncated, frozenset(unexpanded)

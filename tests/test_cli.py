@@ -212,6 +212,11 @@ class TestUsageAndIOErrors:
                       "--initial-store", store_file("({x=1"))
         self.assert_usage_error(r, "malformed store file")
 
+    def test_duplicate_binding_in_store_file(self, tmp_program, store_file):
+        r = whilelang("run", tmp_program("x := x + 1"),
+                      "--initial-store", store_file("({x=1, x=2})"))
+        self.assert_usage_error(r, "duplicate binding 'x'")
+
     def test_long_store_value_is_not_echoed(self, tmp_program, store_file,
                                             tmp_path):
         # Run from the store's directory, so its path is short in the line.

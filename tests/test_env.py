@@ -188,7 +188,7 @@ class TestRendering:
 
     @pytest.mark.parametrize("text", [
         "", "()", "{a=1}", "({a})", "({a=})", "({a=1} {b=2})", "({a=nope})",
-        "({a=²})", "({a=٣})",
+        "({a=²})", "({a=٣})", "({x=1, x=2})",
         # more digits than Python's default int/str conversion limit
         pytest.param("({a=" + "9" * 4301 + "})", id="numeral-of-4301-digits"),
     ])

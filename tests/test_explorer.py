@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dfs_reachable_renderings, render_config
+from oracles import dfs_reachable_renderings, oracle_explore, render_config
 from strategies import (
     SEEDED_STORE, names, parfree_source_stmts, runtime_stmts,
 )
+from test_reduction import par_programs
 
 from whilelang.env import Env, Frame, parse_store, render_procs, render_store
 from whilelang.explorer import (
@@ -164,6 +165,43 @@ class TestExplore:
                         for step in successors(node)}
             actual = {(rule, dst) for src, rule, dst in g.edges if src == i}
             assert actual == expected
+
+
+def _assert_explore_matches_oracle(c0, max_states, max_depth):
+    for reduce in (False, True):
+        g = explore(c0, max_states, max_depth, reduce)
+        assert (g.nodes, g.edges, g.truncated, g.unexpanded) == \
+            oracle_explore(c0, max_states, max_depth, reduce)
+
+
+class TestExploreMatchesOracle:
+    """`explore` looks each successor up in its index once and takes the
+    entry back when the state budget refuses the state; the graph must be
+    the one a membership test before each insertion builds. Small budgets
+    make states be refused and then met again."""
+
+    BUDGETS = [(50_000, 10_000), (1, 1), (2, 30), (7, 3), (23, 12), (60, 30)]
+
+    @pytest.mark.parametrize(
+        "path", sorted(PROGRAMS.glob("**/*.whl")),
+        ids=lambda p: str(p.relative_to(PROGRAMS)))
+    def test_corpus(self, path):
+        c = Configuration(Env(), Env(),
+                          parse_program(path.read_text(encoding="utf-8")))
+        for max_states, max_depth in self.BUDGETS:
+            _assert_explore_matches_oracle(c, max_states, max_depth)
+
+    @settings(max_examples=300, deadline=None)
+    @given(par_programs(), st.integers(1, 60), st.integers(1, 30))
+    def test_generated_par_programs(self, c, max_states, max_depth):
+        _assert_explore_matches_oracle(c, max_states, max_depth)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(Par, runtime_stmts, runtime_stmts),
+           st.integers(1, 60), st.integers(1, 30))
+    def test_runtime_pars(self, stmt, max_states, max_depth):
+        c = Configuration(SEEDED_STORE, Env(), stmt)
+        _assert_explore_matches_oracle(c, max_states, max_depth)
 
 
 class TestOutcomes:

@@ -1,5 +1,8 @@
 """The one-step relation: rule coverage, labels, gating, stuckness."""
 
+from dataclasses import FrozenInstanceError, fields
+from typing import get_args
+
 import pytest
 from hypothesis import given, settings
 
@@ -8,12 +11,13 @@ from strategies import SEEDED_STORE, parfree_runtime_stmts, runtime_stmts
 from whilelang.env import Env, Frame, render_store
 from whilelang.parser import parse_program
 from whilelang.semantics import (
-    Configuration, diagnose, is_terminal, protected_pred, successors,
+    Configuration, StepResult, StuckInfo, diagnose, is_terminal,
+    protected_pred, successors,
 )
 from whilelang.syntax import (
-    Add, And, BeginScope, Call, Decl, Empty, EndScope, ExprStmt, FalseLit,
-    If, NatLit, Not, Par, Protect, Protected, Seq, Sub, TrueLit, TypeName,
-    Update, ValStmt, Var, VoidV, While, pretty,
+    Add, And, BeginScope, Call, Decl, Empty, EndScope, Expr, ExprStmt,
+    FalseLit, If, NatLit, Not, Par, Protect, Protected, Seq, Stmt, Sub,
+    TrueLit, TypeName, Update, ValStmt, Value, Var, VoidV, While, pretty,
 )
 
 NAT = TypeName.NAT
@@ -372,3 +376,28 @@ class TestInvariants:
         c = Configuration(SEEDED_STORE, Env(), stmt)
         for step in successors(c):
             assert isinstance(step.rule, str)
+
+
+def _one_of_each():
+    """One instance of every statement, expression and value class, with
+    each field None (no class checks its fields), and of the store, step
+    and configuration records."""
+    classes = {*get_args(Stmt), *get_args(Expr), *get_args(Value)}
+    for cls in sorted(classes, key=lambda c: c.__name__):
+        yield cls(*[None] * len(fields(cls)))
+    c = Configuration(Env(), Env(), VOID)
+    yield from (Frame((("x", NatLit(1)),)), Env(), c, StepResult("Seq2", c),
+                StuckInfo(VOID, "no applicable reduction"))
+
+
+class TestSlottedRecords:
+    """An explored state holds many nodes: none carries a per-instance
+    __dict__, and none can change once built."""
+
+    @pytest.mark.parametrize("obj", list(_one_of_each()),
+                             ids=lambda obj: type(obj).__name__)
+    def test_no_dict_and_frozen(self, obj):
+        assert not hasattr(obj, "__dict__")
+        for field in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field.name, None)
