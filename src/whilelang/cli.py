@@ -5,8 +5,8 @@ total, disjoint contract: 0 success, 1 parse error, 2 type error, 3 stuck,
 4 budget exhausted or graph truncated, a term nested deeper than the
 recursion limit, or a numeral over 4300 digits, 5 usage or IO error (bad
 arguments, an input or store file that cannot be read, a malformed store
-file, an `--out` file that cannot be written). Errors print one line on
-stderr.
+file, an `--out` file or standard output that cannot be written). Errors
+print one line on stderr.
 
 `graph` writes the full reduction graph; `outcomes` explores the
 partial-order reduced one, which has the same leaves, so its
@@ -110,7 +110,12 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as err:
             raise _UsageError(f"cannot write {out}: {_reason(err)}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except (OSError, UnicodeError) as err:
+            raise _UsageError(
+                f"cannot write standard output: {_reason(err)}") from None
 
 
 def _read(path: str) -> str:

@@ -38,11 +38,12 @@ from .syntax import (
     MAX_NUMERAL_DIGITS, Add, And, Begin, BeginScope, Call, Decl, Empty,
     EndScope, Eq, EvalContext, Expr, ExprStmt, FalseLit, If, Le, Mul, NatLit,
     Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub, TRUE,
-    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, decompose,
-    hole_class, plug_frame, protected_pred,
+    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, _BINARY_OPS,
+    decompose, hole_class, plug_frame, protected_pred,
 )
 
 _EXPR_REDEXES = (Var, Add, Sub, Mul, Eq, Le, And, Not)
+_TRUTHS = (TrueLit, FalseLit)
 _NUMERAL_LIMIT = 10 ** MAX_NUMERAL_DIGITS
 
 
@@ -93,13 +94,6 @@ def _resolve_var(store: Env, var: Var, hole: tuple[type, ...]) -> Expr:
     raise _StuckRedex(var, "operand of wrong shape")
 
 
-def _nat_operands(redex: Expr) -> tuple[int, int]:
-    left, right = redex.left, redex.right
-    if isinstance(left, NatLit) and isinstance(right, NatLit):
-        return left.n, right.n
-    raise _StuckRedex(redex, "operand of wrong shape")
-
-
 def _numeral(n: int) -> NatLit:
     if n >= _NUMERAL_LIMIT:
         raise NumeralOverflow(f"a numeral exceeds {MAX_NUMERAL_DIGITS} digits")
@@ -120,22 +114,27 @@ def contract_expr(store: Env, redex: Expr, hole: tuple[type, ...]) \
         -> tuple[str, Expr]:
     """Contract an expression redex; subtraction is monus, conjunction is
     strict in both operands."""
-    match redex:
-        case Var(_):
-            return "Expr-Var", _resolve_var(store, redex, hole)
-        case Add() | Sub() | Mul() | Eq() | Le():
-            axiom, op = _NAT_AXIOMS[type(redex)]
-            return axiom, op(*_nat_operands(redex))
-        case And(left, right):
-            if isinstance(left, (TrueLit, FalseLit)) and \
-                    isinstance(right, (TrueLit, FalseLit)):
-                both = isinstance(left, TrueLit) and isinstance(right, TrueLit)
-                return "Expr-And", TRUE if both else FALSE
-            raise _StuckRedex(redex, "operand of wrong shape")
-        case Not(operand):
-            if isinstance(operand, (TrueLit, FalseLit)):
-                return "Expr-Not", FALSE if isinstance(operand, TrueLit) else TRUE
-            raise _StuckRedex(redex, "operand of wrong shape")
+    cls = type(redex)
+    if cls is Var:
+        return "Expr-Var", _resolve_var(store, redex, hole)
+    nat = _NAT_AXIOMS.get(cls)
+    if nat is not None:
+        left, right = redex.left, redex.right
+        if type(left) is NatLit and type(right) is NatLit:
+            axiom, op = nat
+            return axiom, op(left.n, right.n)
+        raise _StuckRedex(redex, "operand of wrong shape")
+    if cls is And:
+        left, right = type(redex.left), type(redex.right)
+        if left in _TRUTHS and right in _TRUTHS:
+            both = left is TrueLit and right is TrueLit
+            return "Expr-And", TRUE if both else FALSE
+        raise _StuckRedex(redex, "operand of wrong shape")
+    if cls is Not:
+        operand = type(redex.operand)
+        if operand in _TRUTHS:
+            return "Expr-Not", FALSE if operand is TrueLit else TRUE
+        raise _StuckRedex(redex, "operand of wrong shape")
     raise TypeError(f"not an expression redex: {redex!r}")
 
 
@@ -155,63 +154,67 @@ def _desugar_begin(block: Begin) -> Stmt:
 
 def contract_stmt(store: Env, procs: Env, redex: Stmt) \
         -> tuple[str, Stmt, Env, Env]:
-    match redex:
-        case Decl(_, name, rhs):
-            try:
-                store2 = envmod.declare_var(store, name, rhs)
-            except RedeclError:
-                raise _StuckRedex(
-                    redex, f"variable {name} already declared in this scope"
-                ) from None
-            return "Assign", VOID_STMT, store2, procs
-        case Update(name, rhs):
-            try:
-                store2 = envmod.update_var(store, name, rhs)
-            except UnboundError:
-                raise _StuckRedex(redex, f"unbound variable {name}") from None
-            return "Update", VOID_STMT, store2, procs
-        case Seq(ValStmt(_), second):
-            return "Seq-discharge", second, store, procs
-        case Empty():
-            return "Empty", VOID_STMT, store, procs
-        case If(TrueLit(), then_branch, _):
-            return "If-True", then_branch, store, procs
-        case If(FalseLit(), _, else_branch):
-            return "If-False", else_branch, store, procs
-        case While(cond, body):
-            unfolded = If(cond, Seq(body, redex), VOID_STMT)
-            return "While", unfolded, store, procs
-        case Begin():
-            return "Begin", _desugar_begin(redex), store, procs
-        case BeginScope():
-            store2, procs2 = envmod.push_scope(store, procs)
-            return "BeginScope", VOID_STMT, store2, procs2
-        case EndScope():
-            try:
-                store2, procs2 = envmod.pop_scope(store, procs)
-            except ScopeError:
-                raise _StuckRedex(redex, "cannot pop the global scope") from None
-            return "EndScope", VOID_STMT, store2, procs2
-        case ProcDecl(name, body):
-            try:
-                procs2 = envmod.declare_proc(procs, name, body)
-            except RedeclError:
-                raise _StuckRedex(
-                    redex, f"procedure {name} already declared in this scope"
-                ) from None
-            return "Proc", VOID_STMT, store, procs2
-        case Call(name):
-            try:
-                body = envmod.lookup_proc(procs, name)
-            except UnboundError:
-                raise _StuckRedex(redex, f"unbound procedure {name}") from None
-            return "Call", body, store, procs
-        case Protect(body):
-            return "Protect", Protected(body), store, procs
-        case Protected(ValStmt(_)):
+    cls = type(redex)
+    if cls is Update:
+        try:
+            store2 = envmod.update_var(store, redex.name, redex.rhs)
+        except UnboundError:
+            raise _StuckRedex(redex, f"unbound variable {redex.name}") from None
+        return "Update", VOID_STMT, store2, procs
+    elif cls is While:
+        unfolded = If(redex.cond, Seq(redex.body, redex), VOID_STMT)
+        return "While", unfolded, store, procs
+    elif cls is If:
+        cond = type(redex.cond)
+        if cond is TrueLit:
+            return "If-True", redex.then_branch, store, procs
+        if cond is FalseLit:
+            return "If-False", redex.else_branch, store, procs
+    elif cls is Call:
+        try:
+            body = envmod.lookup_proc(procs, redex.name)
+        except UnboundError:
+            raise _StuckRedex(redex, f"unbound procedure {redex.name}") from None
+        return "Call", body, store, procs
+    elif cls is Decl:
+        try:
+            store2 = envmod.declare_var(store, redex.name, redex.rhs)
+        except RedeclError:
+            raise _StuckRedex(
+                redex, f"variable {redex.name} already declared in this scope"
+            ) from None
+        return "Assign", VOID_STMT, store2, procs
+    elif cls is Begin:
+        return "Begin", _desugar_begin(redex), store, procs
+    elif cls is BeginScope:
+        store2, procs2 = envmod.push_scope(store, procs)
+        return "BeginScope", VOID_STMT, store2, procs2
+    elif cls is EndScope:
+        try:
+            store2, procs2 = envmod.pop_scope(store, procs)
+        except ScopeError:
+            raise _StuckRedex(redex, "cannot pop the global scope") from None
+        return "EndScope", VOID_STMT, store2, procs2
+    elif cls is Seq:
+        if type(redex.first) is ValStmt:
+            return "Seq-discharge", redex.second, store, procs
+    elif cls is ProcDecl:
+        try:
+            procs2 = envmod.declare_proc(procs, redex.name, redex.body)
+        except RedeclError:
+            raise _StuckRedex(
+                redex, f"procedure {redex.name} already declared in this scope"
+            ) from None
+        return "Proc", VOID_STMT, store, procs2
+    elif cls is Protect:
+        return "Protect", Protected(redex.body), store, procs
+    elif cls is Protected:
+        if type(redex.body) is ValStmt:
             return "Protected", VOID_STMT, store, procs
-        case ExprStmt(e):
-            return "Expr-Val", ValStmt(e), store, procs
+    elif cls is ExprStmt:
+        return "Expr-Val", ValStmt(redex.expr), store, procs
+    elif cls is Empty:
+        return "Empty", VOID_STMT, store, procs
     raise TypeError(f"not a statement redex: {redex!r}")
 
 
@@ -222,33 +225,32 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
     components: list[str] = []
     current = filled
     for node, field in reversed(ctx):
-        match node:
-            case Seq(_, rest):
-                # Class tests, not `== VOID_STMT`: this runs once per frame
-                # of every step, and dataclass __eq__ builds two tuples.
-                if isinstance(current, ValStmt) and \
-                        isinstance(current.value, VoidV):
-                    components.append("Seq2")
-                    current = rest
-                else:
-                    components.append("Seq1")
-                    current = Seq(current, rest)
-            case Par(_, right) if field == "left":
-                if isinstance(current, ValStmt):
+        cls = type(node)
+        if cls is Seq:
+            # Class tests, not `== VOID_STMT`: this runs once per frame
+            # of every step, and dataclass __eq__ builds two tuples.
+            if type(current) is ValStmt and type(current.value) is VoidV:
+                components.append("Seq2")
+                current = node.second
+            else:
+                components.append("Seq1")
+                current = Seq(current, node.second)
+        elif cls is Par:
+            if field == "left":
+                if type(current) is ValStmt:
                     components.append("Par2")
-                    current = right
+                    current = node.right
                 else:
                     components.append("Par1")
-                    current = Par(current, right)
-            case Par(left, _):
-                if isinstance(current, ValStmt):
-                    components.append("Par4")
-                    current = left
-                else:
-                    components.append("Par3")
-                    current = Par(left, current)
-            case _:
-                current = plug_frame(node, field, current)
+                    current = Par(current, node.right)
+            elif type(current) is ValStmt:
+                components.append("Par4")
+                current = node.left
+            else:
+                components.append("Par3")
+                current = Par(node.left, current)
+        else:
+            current = plug_frame(node, field, current)
     components.reverse()
     components.append(axiom)
     return "/".join(components), current
@@ -266,8 +268,8 @@ _PURE_AXIOMS = frozenset({
 
 # Statements that may block another par side (an atomic region), run code
 # not visible in the term (a call), or change how names resolve.
-_INTERFERING = (Protect, Protected, Call, Decl, Begin, BeginScope, EndScope,
-                ProcDecl)
+_INTERFERING = frozenset({Protect, Protected, Call, Decl, Begin, BeginScope,
+                          EndScope, ProcDecl})
 
 
 def _interferes(s: Stmt, name: str | None) -> bool:
@@ -276,32 +278,36 @@ def _interferes(s: Stmt, name: str | None) -> bool:
     todo: list = [s]
     while todo:
         node = todo.pop()
-        if isinstance(node, _INTERFERING):
+        cls = type(node)
+        if cls is Update:
+            if name is not None:
+                if node.name == name:
+                    return True
+                todo.append(node.rhs)
+        elif cls is Seq:
+            todo += (node.first, node.second)
+        elif cls is Var:
+            if node.name == name:
+                return True
+        elif cls in _BINARY_OPS:
+            todo += (node.left, node.right)
+        elif cls is Par:
+            todo += (node.left, node.right)
+        elif cls in _INTERFERING:
             return True
-        match node:
-            case Seq(first, second) | Par(first, second):
-                todo += (first, second)
-            case If(cond, then_branch, else_branch):
-                todo += (then_branch, else_branch)
-                if name is not None:
-                    todo.append(cond)
-            case While(cond, body):
-                todo.append(body)
-                if name is not None:
-                    todo.append(cond)
-            case Update(target, rhs) if name is not None:
-                if target == name:
-                    return True
-                todo.append(rhs)
-            case ExprStmt(e) if name is not None:
-                todo.append(e)
-            case Var(used):
-                if used == name:
-                    return True
-            case Add() | Sub() | Mul() | Eq() | Le() | And():
-                todo += (node.left, node.right)
-            case Not(operand):
-                todo.append(operand)
+        elif cls is If:
+            todo += (node.then_branch, node.else_branch)
+            if name is not None:
+                todo.append(node.cond)
+        elif cls is While:
+            todo.append(node.body)
+            if name is not None:
+                todo.append(node.cond)
+        elif cls is ExprStmt:
+            if name is not None:
+                todo.append(node.expr)
+        elif cls is Not:
+            todo.append(node.operand)
     return False
 
 
@@ -326,13 +332,13 @@ def _persistent(ctx: EvalContext, redex: Redex, axiom: str,
     if protected_pred(contractum):
         return False
     for node, field in ctx:
-        match node:
-            case Par(left, right):
-                if _interferes(right if field == "left" else left, name):
-                    return False
-            case Seq(_, rest):
-                if protected_pred(rest):
-                    return False
+        cls = type(node)
+        if cls is Seq:
+            if protected_pred(node.second):
+                return False
+        elif cls is Par:
+            if _interferes(node.right if field == "left" else node.left, name):
+                return False
     return True
 
 

@@ -270,15 +270,12 @@ def is_source_form(s: Stmt) -> bool:
 # protect -> protected step itself.
 
 def protected_pred(s: Stmt) -> bool:
-    match s:
-        case Protected(_):
-            return True
-        case Seq(first, _):
-            return protected_pred(first)
-        case Par(left, right):
-            return protected_pred(left) or protected_pred(right)
-        case _:
-            return False
+    cls = type(s)
+    if cls is Seq:
+        return protected_pred(s.first)
+    if cls is Par:
+        return protected_pred(s.left) or protected_pred(s.right)
+    return cls is Protected
 
 
 # ---------------------------------------------------------------------------
@@ -335,49 +332,49 @@ class Printer:
         # nesting costs one stack frame.
         key = id(s)
         entry = self._current.get(key) or self._previous.get(key)
+        cls = type(s)
         if entry is None:
             pp = self._pp_stmt
-            match s:
-                case Par(left, right):
-                    text = f"{pp(left, _PAR_LEVEL)} par {pp(right, _SEQ_LEVEL)}"
-                case Seq(first, second):
-                    text = f"{pp(first, _SIMPLE_LEVEL)}; {pp(second, _SEQ_LEVEL)}"
-                case If(cond, then_branch, else_branch):
-                    text = (f"if {_pp_expr(cond, 0)} then {pp(then_branch, _SIMPLE_LEVEL)}"
-                            f" else {pp(else_branch, _SIMPLE_LEVEL)}")
-                case While(cond, body):
-                    text = f"while {_pp_expr(cond, 0)} do {pp(body, _SIMPLE_LEVEL)}"
-                case Decl(t, name, rhs):
-                    text = f"var {t.value} {name} := {_pp_expr(rhs, 0)}"
-                case Update(name, rhs):
-                    text = f"{name} := {_pp_expr(rhs, 0)}"
-                case ProcDecl(name, body):
-                    text = f"proc {name} is {pp(body, _SIMPLE_LEVEL)}"
-                case Begin():
-                    text = self._pp_begin(s)
-                case Call(name):
-                    text = f"call {name}"
-                case Protect(body):
-                    text = f"protect {pp(body, _PAR_LEVEL)} end"
-                case Protected(body):
-                    text = f"protected {pp(body, _PAR_LEVEL)} end"
-                case BeginScope():
-                    text = "beginscope"
-                case EndScope():
-                    text = "endscope"
-                case ExprStmt(e):
-                    text = _pp_expr(e, 0)
-                case ValStmt(v):
-                    text = value_text(v)
-                case Empty():
-                    text = "ε"
-                case _:
-                    raise TypeError(f"not a statement: {s!r}")
+            if cls is Seq:
+                text = f"{pp(s.first, _SIMPLE_LEVEL)}; {pp(s.second, _SEQ_LEVEL)}"
+            elif cls is Update:
+                text = f"{s.name} := {_pp_expr(s.rhs, 0)}"
+            elif cls is Par:
+                text = f"{pp(s.left, _PAR_LEVEL)} par {pp(s.right, _SEQ_LEVEL)}"
+            elif cls is Decl:
+                text = f"var {s.type_name.value} {s.name} := {_pp_expr(s.rhs, 0)}"
+            elif cls is If:
+                text = (f"if {_pp_expr(s.cond, 0)}"
+                        f" then {pp(s.then_branch, _SIMPLE_LEVEL)}"
+                        f" else {pp(s.else_branch, _SIMPLE_LEVEL)}")
+            elif cls is While:
+                text = f"while {_pp_expr(s.cond, 0)} do {pp(s.body, _SIMPLE_LEVEL)}"
+            elif cls is Call:
+                text = f"call {s.name}"
+            elif cls is Begin:
+                text = self._pp_begin(s)
+            elif cls is ProcDecl:
+                text = f"proc {s.name} is {pp(s.body, _SIMPLE_LEVEL)}"
+            elif cls is Protect:
+                text = f"protect {pp(s.body, _PAR_LEVEL)} end"
+            elif cls is Protected:
+                text = f"protected {pp(s.body, _PAR_LEVEL)} end"
+            elif cls is ValStmt:
+                text = value_text(s.value)
+            elif cls is ExprStmt:
+                text = _pp_expr(s.expr, 0)
+            elif cls is BeginScope:
+                text = "beginscope"
+            elif cls is EndScope:
+                text = "endscope"
+            elif cls is Empty:
+                text = "ε"
+            else:
+                raise TypeError(f"not a statement: {s!r}")
             entry = (s, text)
         self._current[key] = entry
         text = entry[1]
-        if isinstance(s, Par) and level > _PAR_LEVEL or \
-                isinstance(s, Seq) and level > _SEQ_LEVEL:
+        if cls is Par and level > _PAR_LEVEL or cls is Seq and level > _SEQ_LEVEL:
             return "{ " + text + " }"
         return text
 
@@ -403,41 +400,36 @@ _MUL_LEVEL = 3
 _NOT_LEVEL = 4
 
 
+# Each binary operator: (symbol, own level, left operand's, right operand's).
+_INFIX = {
+    Add: (" + ", _ADD_LEVEL, _ADD_LEVEL, _MUL_LEVEL),
+    Sub: (" - ", _ADD_LEVEL, _ADD_LEVEL, _MUL_LEVEL),
+    Mul: (" * ", _MUL_LEVEL, _MUL_LEVEL, _NOT_LEVEL),
+    Eq: (" = ", _CMP_LEVEL, _ADD_LEVEL, _ADD_LEVEL),
+    Le: (" <= ", _CMP_LEVEL, _ADD_LEVEL, _ADD_LEVEL),
+    And: (" and ", _AND_LEVEL, _CMP_LEVEL, _AND_LEVEL),
+}
+
+
 def _pp_expr(e: Expr, level: int) -> str:
-    match e:
-        case NatLit(n):
-            return str(n)
-        case Var(name):
-            return name
-        case TrueLit():
-            return "true"
-        case FalseLit():
-            return "false"
-        case Add(a, b):
-            return _infix(f"{_pp_expr(a, _ADD_LEVEL)} + {_pp_expr(b, _MUL_LEVEL)}",
-                          _ADD_LEVEL, level)
-        case Sub(a, b):
-            return _infix(f"{_pp_expr(a, _ADD_LEVEL)} - {_pp_expr(b, _MUL_LEVEL)}",
-                          _ADD_LEVEL, level)
-        case Mul(a, b):
-            return _infix(f"{_pp_expr(a, _MUL_LEVEL)} * {_pp_expr(b, _NOT_LEVEL)}",
-                          _MUL_LEVEL, level)
-        case Eq(a, b):
-            return _infix(f"{_pp_expr(a, _ADD_LEVEL)} = {_pp_expr(b, _ADD_LEVEL)}",
-                          _CMP_LEVEL, level)
-        case Le(a, b):
-            return _infix(f"{_pp_expr(a, _ADD_LEVEL)} <= {_pp_expr(b, _ADD_LEVEL)}",
-                          _CMP_LEVEL, level)
-        case And(a, b):
-            return _infix(f"{_pp_expr(a, _CMP_LEVEL)} and {_pp_expr(b, _AND_LEVEL)}",
-                          _AND_LEVEL, level)
-        case Not(b):
-            return _infix(f"not {_pp_expr(b, _NOT_LEVEL)}", _NOT_LEVEL, level)
+    cls = type(e)
+    if cls is Var:
+        return e.name
+    if cls is NatLit:
+        return str(e.n)
+    infix = _INFIX.get(cls)
+    if infix is not None:
+        symbol, own, left, right = infix
+        text = _pp_expr(e.left, left) + symbol + _pp_expr(e.right, right)
+        return f"({text})" if own < level else text
+    if cls is TrueLit:
+        return "true"
+    if cls is FalseLit:
+        return "false"
+    if cls is Not:
+        # No operand position binds tighter than `not`: it is never braced.
+        return "not " + _pp_expr(e.operand, _NOT_LEVEL)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _infix(text: str, own_level: int, required: int) -> str:
-    return f"({text})" if own_level < required else text
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +448,11 @@ Redex = Union[Stmt, Expr]
 EvalContext = tuple[tuple[Redex, str], ...]
 
 _ARITH_OPS = (Add, Sub, Mul, Eq, Le)
+_BINARY_OPS = (Add, Sub, Mul, Eq, Le, And)
+# The per-node functions below dispatch on the exact class, not isinstance.
+_LITERALS = frozenset({NatLit, TrueLit, FalseLit})
+_STMT_REDEXES = frozenset({While, Begin, Call, Protect, ProcDecl, BeginScope,
+                           EndScope, Empty})
 
 
 def hole_class(ctx: EvalContext) -> tuple[type, ...]:
@@ -487,88 +484,90 @@ def decompose(s: Stmt) -> list[tuple[EvalContext, Redex]]:
 
 def _decompose_stmt(s: Stmt, path: list[tuple[Redex, str]],
                     out: list[tuple[EvalContext, Redex]]) -> None:
-    match s:
-        case ValStmt(_):
-            return
-        case Seq(first, _):
-            if isinstance(first, ValStmt):
-                out.append((tuple(path), s))
-            else:
-                path.append((s, "first"))
-                _decompose_stmt(first, path, out)
-                path.pop()
-        case Par(left, right):
-            if not protected_pred(right):
-                path.append((s, "left"))
-                _decompose_stmt(left, path, out)
-                path.pop()
-            if not protected_pred(left):
-                path.append((s, "right"))
-                _decompose_stmt(right, path, out)
-                path.pop()
-        case Protected(body):
-            if isinstance(body, ValStmt):
-                out.append((tuple(path), s))
-            else:
-                path.append((s, "body"))
-                _decompose_stmt(body, path, out)
-                path.pop()
-        case If(cond, _, _):
-            if isinstance(cond, (TrueLit, FalseLit)):
-                out.append((tuple(path), s))
-            else:
-                path.append((s, "cond"))
-                _decompose_exp(cond, path, out)
-                path.pop()
-        case Decl(_, _, rhs) | Update(_, rhs):
-            if is_literal(rhs):
-                out.append((tuple(path), s))
-            else:
-                path.append((s, "rhs"))
-                _decompose_exp(rhs, path, out)
-                path.pop()
-        case ExprStmt(e):
-            if is_literal(e):
-                out.append((tuple(path), s))
-            else:
-                path.append((s, "expr"))
-                _decompose_exp(e, path, out)
-                path.pop()
-        case While() | Begin() | Call() | Protect() | ProcDecl() | \
-                BeginScope() | EndScope() | Empty():
+    cls = type(s)
+    if cls is Seq:
+        first = s.first
+        if type(first) is ValStmt:
             out.append((tuple(path), s))
-        case _:
-            raise TypeError(f"not a statement: {s!r}")
+        else:
+            path.append((s, "first"))
+            _decompose_stmt(first, path, out)
+            path.pop()
+    elif cls is Update or cls is Decl:
+        rhs = s.rhs
+        if type(rhs) in _LITERALS:
+            out.append((tuple(path), s))
+        else:
+            path.append((s, "rhs"))
+            _decompose_exp(rhs, path, out)
+            path.pop()
+    elif cls is Par:
+        left, right = s.left, s.right
+        if not protected_pred(right):
+            path.append((s, "left"))
+            _decompose_stmt(left, path, out)
+            path.pop()
+        if not protected_pred(left):
+            path.append((s, "right"))
+            _decompose_stmt(right, path, out)
+            path.pop()
+    elif cls is If:
+        cond = s.cond
+        if type(cond) is TrueLit or type(cond) is FalseLit:
+            out.append((tuple(path), s))
+        else:
+            path.append((s, "cond"))
+            _decompose_exp(cond, path, out)
+            path.pop()
+    elif cls in _STMT_REDEXES:
+        out.append((tuple(path), s))
+    elif cls is Protected:
+        body = s.body
+        if type(body) is ValStmt:
+            out.append((tuple(path), s))
+        else:
+            path.append((s, "body"))
+            _decompose_stmt(body, path, out)
+            path.pop()
+    elif cls is ExprStmt:
+        e = s.expr
+        if type(e) in _LITERALS:
+            out.append((tuple(path), s))
+        else:
+            path.append((s, "expr"))
+            _decompose_exp(e, path, out)
+            path.pop()
+    elif cls is not ValStmt:
+        raise TypeError(f"not a statement: {s!r}")
 
 
 def _decompose_exp(e: Expr, path: list[tuple[Redex, str]],
                    out: list[tuple[EvalContext, Redex]]) -> None:
-    if is_literal(e):
-        return
-    match e:
-        case Var(_):
+    cls = type(e)
+    if cls in _BINARY_OPS:
+        left, right = e.left, e.right
+        if type(left) not in _LITERALS:
+            path.append((e, "left"))
+            _decompose_exp(left, path, out)
+            path.pop()
+        elif type(right) not in _LITERALS:
+            path.append((e, "right"))
+            _decompose_exp(right, path, out)
+            path.pop()
+        else:
             out.append((tuple(path), e))
-        case Not(operand):
-            if is_literal(operand):
-                out.append((tuple(path), e))
-            else:
-                path.append((e, "operand"))
-                _decompose_exp(operand, path, out)
-                path.pop()
-        case Add() | Sub() | Mul() | Eq() | Le() | And():
-            left, right = e.left, e.right
-            if not is_literal(left):
-                path.append((e, "left"))
-                _decompose_exp(left, path, out)
-                path.pop()
-            elif not is_literal(right):
-                path.append((e, "right"))
-                _decompose_exp(right, path, out)
-                path.pop()
-            else:
-                out.append((tuple(path), e))
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+    elif cls is Var:
+        out.append((tuple(path), e))
+    elif cls is Not:
+        operand = e.operand
+        if type(operand) in _LITERALS:
+            out.append((tuple(path), e))
+        else:
+            path.append((e, "operand"))
+            _decompose_exp(operand, path, out)
+            path.pop()
+    elif cls not in _LITERALS:
+        raise TypeError(f"not an expression: {e!r}")
 
 
 def plug(ctx: EvalContext, filled: Redex) -> Stmt:
@@ -580,25 +579,25 @@ def plug(ctx: EvalContext, filled: Redex) -> Stmt:
 
 
 def plug_frame(node: Redex, field: str, filled: Redex) -> Redex:
-    match node:
-        case Update(name, _):
-            return Update(name, filled)
-        case Decl(t, name, _):
-            return Decl(t, name, filled)
-        case If(_, then_branch, else_branch):
-            return If(filled, then_branch, else_branch)
-        case Add() | Sub() | Mul() | Eq() | Le() | And():
-            if field == "left":
-                return type(node)(filled, node.right)
-            return type(node)(node.left, filled)
-        case Not():
-            return Not(filled)
-        case Seq(_, second):
-            return Seq(filled, second)
-        case Par(left, right):
-            return Par(filled, right) if field == "left" else Par(left, filled)
-        case Protected():
-            return Protected(filled)
-        case ExprStmt():
-            return ExprStmt(filled)
+    cls = type(node)
+    if cls is Update:
+        return Update(node.name, filled)
+    if cls in _BINARY_OPS:
+        if field == "left":
+            return cls(filled, node.right)
+        return cls(node.left, filled)
+    if cls is If:
+        return If(filled, node.then_branch, node.else_branch)
+    if cls is Seq:
+        return Seq(filled, node.second)
+    if cls is Par:
+        return Par(filled, node.right) if field == "left" else Par(node.left, filled)
+    if cls is Decl:
+        return Decl(node.type_name, node.name, filled)
+    if cls is Protected:
+        return Protected(filled)
+    if cls is Not:
+        return Not(filled)
+    if cls is ExprStmt:
+        return ExprStmt(filled)
     raise TypeError(f"not a frame: {(node, field)!r}")

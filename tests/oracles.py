@@ -6,14 +6,19 @@ library's decomposition/graph machinery.
 
 from collections import deque
 
-from whilelang.env import Env, render_procs, render_store
+from whilelang import env as envmod
+from whilelang.env import (
+    Env, RedeclError, ScopeError, UnboundError, render_procs, render_store,
+)
 from whilelang.parser import KEYWORDS, ParseError, Token
-from whilelang.semantics import Configuration, successors
+from whilelang.semantics import (
+    Configuration, NumeralOverflow, StepResult, StuckInfo, successors,
+)
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, ExprStmt,
     FalseLit, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected, Seq,
-    Stmt, Sub, TrueLit, Update, ValStmt, Var, While, If, MAX_NUMERAL_DIGITS,
-    pretty, pretty_expr,
+    Stmt, Sub, TrueLit, Update, ValStmt, Var, VoidV, While, If,
+    MAX_NUMERAL_DIGITS, TRUE, FALSE, VOID_STMT, pretty, pretty_expr,
 )
 
 
@@ -263,3 +268,395 @@ def oracle_explore(c0: Configuration, max_states: int, max_depth: int,
             edges.append((src, step.rule, index[target]))
             frontier.append(index[target])
     return tuple(nodes), tuple(edges), truncated, frozenset(unexpanded)
+
+
+# ---------------------------------------------------------------------------
+# The step relation with `match` dispatch: contraction, rebuilding,
+# persistence and interference as written before the per-node functions
+# dispatched on the exact class, driven by `oracle_redex_positions`.
+
+_ORACLE_EXPR_REDEXES = (Var, Add, Sub, Mul, Eq, Le, And, Not)
+_ORACLE_NUMERAL_LIMIT = 10 ** MAX_NUMERAL_DIGITS
+
+
+class _OracleStuck(Exception):
+    def __init__(self, at, reason):
+        self.info = StuckInfo(at, reason)
+        super().__init__(reason)
+
+
+def _oracle_hole_class(ctx):
+    node = ctx[-1][0]
+    if isinstance(node, (Add, Sub, Mul, Eq, Le)):
+        return (NatLit,)
+    if isinstance(node, (And, Not, If)):
+        return TrueLit, FalseLit
+    return NatLit, TrueLit, FalseLit
+
+
+def _oracle_resolve_var(store, var, hole):
+    try:
+        value = envmod.lookup_var(store, var.name)
+    except UnboundError:
+        raise _OracleStuck(var, f"unbound variable {var.name}") from None
+    if isinstance(value, hole):
+        return value
+    raise _OracleStuck(var, "operand of wrong shape")
+
+
+def _oracle_nat_operands(redex):
+    left, right = redex.left, redex.right
+    if isinstance(left, NatLit) and isinstance(right, NatLit):
+        return left.n, right.n
+    raise _OracleStuck(redex, "operand of wrong shape")
+
+
+def _oracle_numeral(n):
+    if n >= _ORACLE_NUMERAL_LIMIT:
+        raise NumeralOverflow(f"a numeral exceeds {MAX_NUMERAL_DIGITS} digits")
+    return NatLit(n)
+
+
+_ORACLE_NAT_AXIOMS = {
+    Add: ("Expr-Add", lambda a, b: _oracle_numeral(a + b)),
+    Sub: ("Expr-Sub", lambda a, b: NatLit(max(0, a - b))),
+    Mul: ("Expr-Mul", lambda a, b: _oracle_numeral(a * b)),
+    Eq: ("Expr-Eq", lambda a, b: TRUE if a == b else FALSE),
+    Le: ("Expr-Le", lambda a, b: TRUE if a <= b else FALSE),
+}
+
+
+def _oracle_contract_expr(store, redex, hole):
+    match redex:
+        case Var(_):
+            return "Expr-Var", _oracle_resolve_var(store, redex, hole)
+        case Add() | Sub() | Mul() | Eq() | Le():
+            axiom, op = _ORACLE_NAT_AXIOMS[type(redex)]
+            return axiom, op(*_oracle_nat_operands(redex))
+        case And(left, right):
+            if isinstance(left, (TrueLit, FalseLit)) and \
+                    isinstance(right, (TrueLit, FalseLit)):
+                both = isinstance(left, TrueLit) and isinstance(right, TrueLit)
+                return "Expr-And", TRUE if both else FALSE
+            raise _OracleStuck(redex, "operand of wrong shape")
+        case Not(operand):
+            if isinstance(operand, (TrueLit, FalseLit)):
+                return "Expr-Not", FALSE if isinstance(operand, TrueLit) else TRUE
+            raise _OracleStuck(redex, "operand of wrong shape")
+    raise TypeError(f"not an expression redex: {redex!r}")
+
+
+def _oracle_desugar_begin(block):
+    items = [BeginScope()]
+    items += list(block.decls)
+    items += list(block.procs)
+    items += [block.body, EndScope()]
+    stmt = items[-1]
+    for item in reversed(items[:-1]):
+        stmt = Seq(item, stmt)
+    return stmt
+
+
+def _oracle_contract_stmt(store, procs, redex):
+    match redex:
+        case Decl(_, name, rhs):
+            try:
+                store2 = envmod.declare_var(store, name, rhs)
+            except RedeclError:
+                raise _OracleStuck(
+                    redex, f"variable {name} already declared in this scope"
+                ) from None
+            return "Assign", VOID_STMT, store2, procs
+        case Update(name, rhs):
+            try:
+                store2 = envmod.update_var(store, name, rhs)
+            except UnboundError:
+                raise _OracleStuck(redex, f"unbound variable {name}") from None
+            return "Update", VOID_STMT, store2, procs
+        case Seq(ValStmt(_), second):
+            return "Seq-discharge", second, store, procs
+        case Empty():
+            return "Empty", VOID_STMT, store, procs
+        case If(TrueLit(), then_branch, _):
+            return "If-True", then_branch, store, procs
+        case If(FalseLit(), _, else_branch):
+            return "If-False", else_branch, store, procs
+        case While(cond, body):
+            unfolded = If(cond, Seq(body, redex), VOID_STMT)
+            return "While", unfolded, store, procs
+        case Begin():
+            return "Begin", _oracle_desugar_begin(redex), store, procs
+        case BeginScope():
+            store2, procs2 = envmod.push_scope(store, procs)
+            return "BeginScope", VOID_STMT, store2, procs2
+        case EndScope():
+            try:
+                store2, procs2 = envmod.pop_scope(store, procs)
+            except ScopeError:
+                raise _OracleStuck(redex, "cannot pop the global scope") from None
+            return "EndScope", VOID_STMT, store2, procs2
+        case ProcDecl(name, body):
+            try:
+                procs2 = envmod.declare_proc(procs, name, body)
+            except RedeclError:
+                raise _OracleStuck(
+                    redex, f"procedure {name} already declared in this scope"
+                ) from None
+            return "Proc", VOID_STMT, store, procs2
+        case Call(name):
+            try:
+                body = envmod.lookup_proc(procs, name)
+            except UnboundError:
+                raise _OracleStuck(redex, f"unbound procedure {name}") from None
+            return "Call", body, store, procs
+        case Protect(body):
+            return "Protect", Protected(body), store, procs
+        case Protected(ValStmt(_)):
+            return "Protected", VOID_STMT, store, procs
+        case ExprStmt(e):
+            return "Expr-Val", ValStmt(e), store, procs
+    raise TypeError(f"not a statement redex: {redex!r}")
+
+
+def _oracle_plug_frame(node, field, filled):
+    match node:
+        case Update(name, _):
+            return Update(name, filled)
+        case Decl(t, name, _):
+            return Decl(t, name, filled)
+        case If(_, then_branch, else_branch):
+            return If(filled, then_branch, else_branch)
+        case Add() | Sub() | Mul() | Eq() | Le() | And():
+            if field == "left":
+                return type(node)(filled, node.right)
+            return type(node)(node.left, filled)
+        case Not():
+            return Not(filled)
+        case Seq(_, second):
+            return Seq(filled, second)
+        case Par(left, right):
+            return Par(filled, right) if field == "left" else Par(left, filled)
+        case Protected():
+            return Protected(filled)
+        case ExprStmt():
+            return ExprStmt(filled)
+    raise TypeError(f"not a frame: {(node, field)!r}")
+
+
+def _oracle_rebuild(ctx, filled, axiom):
+    components = []
+    current = filled
+    for node, field in reversed(ctx):
+        match node:
+            case Seq(_, rest):
+                if isinstance(current, ValStmt) and \
+                        isinstance(current.value, VoidV):
+                    components.append("Seq2")
+                    current = rest
+                else:
+                    components.append("Seq1")
+                    current = Seq(current, rest)
+            case Par(_, right) if field == "left":
+                if isinstance(current, ValStmt):
+                    components.append("Par2")
+                    current = right
+                else:
+                    components.append("Par1")
+                    current = Par(current, right)
+            case Par(left, _):
+                if isinstance(current, ValStmt):
+                    components.append("Par4")
+                    current = left
+                else:
+                    components.append("Par3")
+                    current = Par(left, current)
+            case _:
+                current = _oracle_plug_frame(node, field, current)
+    components.reverse()
+    components.append(axiom)
+    return "/".join(components), current
+
+
+_ORACLE_PURE_AXIOMS = frozenset({
+    "Expr-Add", "Expr-Sub", "Expr-Mul", "Expr-Eq", "Expr-Le", "Expr-And",
+    "Expr-Not", "Expr-Val", "Seq-discharge", "If-True", "If-False", "While",
+    "Begin", "Empty",
+})
+
+_ORACLE_INTERFERING = (Protect, Protected, Call, Decl, Begin, BeginScope,
+                       EndScope, ProcDecl)
+
+
+def _oracle_interferes(s, name):
+    todo = [s]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _ORACLE_INTERFERING):
+            return True
+        match node:
+            case Seq(first, second) | Par(first, second):
+                todo += (first, second)
+            case If(cond, then_branch, else_branch):
+                todo += (then_branch, else_branch)
+                if name is not None:
+                    todo.append(cond)
+            case While(cond, body):
+                todo.append(body)
+                if name is not None:
+                    todo.append(cond)
+            case Update(target, rhs) if name is not None:
+                if target == name:
+                    return True
+                todo.append(rhs)
+            case ExprStmt(e) if name is not None:
+                todo.append(e)
+            case Var(used):
+                if used == name:
+                    return True
+            case Add() | Sub() | Mul() | Eq() | Le() | And():
+                todo += (node.left, node.right)
+            case Not(operand):
+                todo.append(operand)
+    return False
+
+
+def _oracle_persistent(ctx, redex, axiom, contractum):
+    if axiom in _ORACLE_PURE_AXIOMS:
+        name = None
+    elif axiom in ("Expr-Var", "Update"):
+        name = redex.name
+    else:
+        return False
+    if oracle_protected(contractum):
+        return False
+    for node, field in ctx:
+        match node:
+            case Par(left, right):
+                if _oracle_interferes(right if field == "left" else left, name):
+                    return False
+            case Seq(_, rest):
+                if oracle_protected(rest):
+                    return False
+    return True
+
+
+def oracle_step(c: Configuration, reduce: bool):
+    """(results, stuck) of one configuration: every step, or the first
+    persistent one alone under `reduce`, and every stuck redex met."""
+    contracted = []
+    stuck = []
+    for ctx, redex in oracle_redex_positions(c.stmt):
+        try:
+            if isinstance(redex, _ORACLE_EXPR_REDEXES):
+                axiom, contractum = _oracle_contract_expr(
+                    c.store, redex, _oracle_hole_class(ctx))
+                store2, procs2 = c.store, c.procs
+            else:
+                axiom, contractum, store2, procs2 = \
+                    _oracle_contract_stmt(c.store, c.procs, redex)
+        except _OracleStuck as failure:
+            stuck.append(failure.info)
+            continue
+        step = (ctx, contractum, axiom, store2, procs2)
+        if reduce and _oracle_persistent(ctx, redex, axiom, contractum):
+            contracted = [step]
+            break
+        contracted.append(step)
+    results = []
+    for ctx, contractum, axiom, store2, procs2 in contracted:
+        rule, stmt2 = _oracle_rebuild(ctx, contractum, axiom)
+        results.append(StepResult(rule, Configuration(store2, procs2, stmt2)))
+    if not results and not stuck and not isinstance(c.stmt, ValStmt):
+        stuck.append(StuckInfo(c.stmt, "no applicable reduction"))
+    return results, stuck
+
+
+def oracle_diagnose(c: Configuration):
+    results, stuck = oracle_step(c, False)
+    if results or isinstance(c.stmt, ValStmt):
+        return None
+    return stuck[0]
+
+
+# ---------------------------------------------------------------------------
+# The printers with `match` dispatch and no memo.
+
+def oracle_pretty(s: Stmt, level: int = 0) -> str:
+    """Statement levels: 0 par, 1 `;`, 2 simple; braces regroup."""
+    pp = oracle_pretty
+    match s:
+        case Par(left, right):
+            text = f"{pp(left, 0)} par {pp(right, 1)}"
+            return "{ " + text + " }" if level > 0 else text
+        case Seq(first, second):
+            text = f"{pp(first, 2)}; {pp(second, 1)}"
+            return "{ " + text + " }" if level > 1 else text
+        case If(cond, then_branch, else_branch):
+            return (f"if {oracle_pretty_expr(cond)} then {pp(then_branch, 2)}"
+                    f" else {pp(else_branch, 2)}")
+        case While(cond, body):
+            return f"while {oracle_pretty_expr(cond)} do {pp(body, 2)}"
+        case Decl(t, name, rhs):
+            return f"var {t.value} {name} := {oracle_pretty_expr(rhs)}"
+        case Update(name, rhs):
+            return f"{name} := {oracle_pretty_expr(rhs)}"
+        case ProcDecl(name, body):
+            return f"proc {name} is {pp(body, 2)}"
+        case Begin(decls, procs, body):
+            body_text = pp(body, 1)
+            if not procs and isinstance(body, Seq) and isinstance(body.first, Decl):
+                body_text = "{ " + body_text + " }"
+            items = [pp(d, 2) for d in decls] + [pp(p, 2) for p in procs]
+            return "begin " + "; ".join(items + [body_text]) + " end"
+        case Call(name):
+            return f"call {name}"
+        case Protect(body):
+            return f"protect {pp(body, 0)} end"
+        case Protected(body):
+            return f"protected {pp(body, 0)} end"
+        case BeginScope():
+            return "beginscope"
+        case EndScope():
+            return "endscope"
+        case ExprStmt(e):
+            return oracle_pretty_expr(e)
+        case ValStmt(VoidV()):
+            return "void"
+        case ValStmt(v):
+            return oracle_pretty_expr(v)
+        case Empty():
+            return "ε"
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def oracle_pretty_expr(e, level: int = 0) -> str:
+    """Expression levels: 0 and, 1 comparison, 2 additive, 3 `*`, 4 not."""
+    pp = oracle_pretty_expr
+
+    def infix(text, own):
+        return f"({text})" if own < level else text
+
+    match e:
+        case NatLit(n):
+            return str(n)
+        case Var(name):
+            return name
+        case TrueLit():
+            return "true"
+        case FalseLit():
+            return "false"
+        case Add(a, b):
+            return infix(f"{pp(a, 2)} + {pp(b, 3)}", 2)
+        case Sub(a, b):
+            return infix(f"{pp(a, 2)} - {pp(b, 3)}", 2)
+        case Mul(a, b):
+            return infix(f"{pp(a, 3)} * {pp(b, 4)}", 3)
+        case Eq(a, b):
+            return infix(f"{pp(a, 2)} = {pp(b, 2)}", 1)
+        case Le(a, b):
+            return infix(f"{pp(a, 2)} <= {pp(b, 2)}", 1)
+        case And(a, b):
+            return infix(f"{pp(a, 1)} and {pp(b, 0)}", 0)
+        case Not(b):
+            return infix(f"not {pp(b, 4)}", 4)
+    raise TypeError(f"not an expression: {e!r}")

@@ -21,12 +21,18 @@ from whilelang.parser import KEYWORDS
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def whilelang(*args, cwd=None):
+def _child_env(**overrides):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(overrides)
+    return env
+
+
+def whilelang(*args, cwd=None, **env_overrides):
     return subprocess.run(
         [sys.executable, "-m", "whilelang.cli", *args],
-        capture_output=True, text=True, env=env, cwd=cwd or ROOT)
+        capture_output=True, text=True, env=_child_env(**env_overrides),
+        cwd=cwd or ROOT)
 
 
 @pytest.fixture
@@ -216,6 +222,31 @@ class TestUsageAndIOErrors:
         r = whilelang("run", tmp_program("x := x + 1"),
                       "--initial-store", store_file("({x=1, x=2})"))
         self.assert_usage_error(r, "duplicate binding 'x'")
+
+    def test_unmentionable_name_in_store_file(self, tmp_program, store_file):
+        r = whilelang("run", tmp_program("x := 1"),
+                      "--initial-store", store_file("({x y=2, x=0})"))
+        self.assert_usage_error(r, "malformed binding 'x y=2'")
+
+    def test_unencodable_standard_output(self):
+        r = whilelang("check", "programs/sum_to_five.whl", "--emit-derivation",
+                      PYTHONIOENCODING="ascii")
+        self.assert_usage_error(r, "cannot write standard output: ")
+
+    def test_standard_output_pipe_closed(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "whilelang.cli", "run",
+                 "programs/sum_to_five.whl"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=_child_env(), cwd=ROOT)
+        finally:
+            os.close(write_end)
+        assert r.returncode == 5
+        assert r.stderr == \
+            "whilelang: error: cannot write standard output: Broken pipe\n"
 
     def test_long_store_value_is_not_echoed(self, tmp_program, store_file,
                                             tmp_path):

@@ -189,6 +189,9 @@ class TestRendering:
     @pytest.mark.parametrize("text", [
         "", "()", "{a=1}", "({a})", "({a=})", "({a=1} {b=2})", "({a=nope})",
         "({a=²})", "({a=٣})", "({x=1, x=2})",
+        # names no program can mention
+        "({x y=2, x=0})", "({1=2, x=0})", "({while=3, x=0})", "({é=1})",
+        "({_a=1})",
         # more digits than Python's default int/str conversion limit
         pytest.param("({a=" + "9" * 4301 + "})", id="numeral-of-4301-digits"),
     ])

@@ -1,14 +1,19 @@
 """The one-step relation: rule coverage, labels, gating, stuckness."""
 
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 
-from strategies import SEEDED_STORE, parfree_runtime_stmts, runtime_stmts
+from oracles import oracle_diagnose, oracle_step
+from strategies import (
+    SEEDED_STORE, parfree_runtime_stmts, runtime_stmts, stores,
+)
 
 from whilelang.env import Env, Frame, render_store
+from whilelang.explorer import explore
 from whilelang.parser import parse_program
 from whilelang.semantics import (
     Configuration, StepResult, StuckInfo, diagnose, is_terminal,
@@ -376,6 +381,37 @@ class TestInvariants:
         c = Configuration(SEEDED_STORE, Env(), stmt)
         for step in successors(c):
             assert isinstance(step.rule, str)
+
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+
+
+def _assert_step_matches_oracle(c, max_states):
+    """Every state of a capped full exploration from `c` steps, in both
+    modes, and is diagnosed as the `match`-dispatched relation does."""
+    for node in explore(c, max_states=max_states).nodes:
+        for reduce in (False, True):
+            assert successors(node, reduce) == oracle_step(node, reduce)[0]
+        assert diagnose(node) == oracle_diagnose(node)
+
+
+class TestStepMatchesOracle:
+    @pytest.mark.parametrize(
+        "path", sorted(PROGRAMS.glob("**/*.whl")),
+        ids=lambda p: str(p.relative_to(PROGRAMS)))
+    def test_corpus(self, path):
+        stmt = parse_program(path.read_text(encoding="utf-8"))
+        _assert_step_matches_oracle(conf(stmt), 2000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(runtime_stmts, stores)
+    def test_generated_stores(self, stmt, store):
+        _assert_step_matches_oracle(conf(stmt, store), 30)
+
+    @settings(max_examples=300, deadline=None)
+    @given(runtime_stmts)
+    def test_seeded_store(self, stmt):
+        _assert_step_matches_oracle(conf(stmt, SEEDED_STORE), 30)
 
 
 def _one_of_each():

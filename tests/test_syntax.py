@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import runtime_stmts, source_stmts
-from oracles import oracle_redex_positions, oracle_tokenize
+from strategies import SEEDED_STORE, exprs, runtime_stmts, source_stmts
+from oracles import (
+    oracle_pretty, oracle_pretty_expr, oracle_redex_positions, oracle_tokenize,
+)
 
+from whilelang.env import Env
+from whilelang.explorer import explore
 from whilelang.parser import KEYWORDS, ParseError, parse_program, tokenize
+from whilelang.semantics import Configuration
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, Eq, ExprStmt, FalseLit,
     If, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected, Seq, Sub,
-    TrueLit, TypeName, Update, ValStmt, Var, VoidV, While, decompose,
+    Printer, TrueLit, TypeName, Update, ValStmt, Var, VoidV, While, decompose,
     is_source_form, plug, pretty, pretty_expr,
 )
 
@@ -272,6 +277,31 @@ class TestPretty:
         text = pretty(block)
         assert text == "begin { var Nat x := 1; x := 2 } end"
         assert parse_program(text) == block
+
+
+class TestPrettyMatchesOracle:
+    """The printers against the `match` printers without a memo."""
+
+    @settings(max_examples=400)
+    @given(runtime_stmts)
+    def test_statements(self, stmt):
+        assert pretty(stmt) == oracle_pretty(stmt)
+
+    @settings(max_examples=400)
+    @given(exprs)
+    def test_expressions(self, e):
+        assert pretty_expr(e) == oracle_pretty_expr(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runtime_stmts)
+    def test_printer_series(self, stmt):
+        # The states of an exploration share most of their nodes; print
+        # them through one Printer, advancing after each, as to_dot does.
+        graph = explore(Configuration(SEEDED_STORE, Env(), stmt), max_states=40)
+        printer = Printer()
+        for node in graph.nodes:
+            assert printer.stmt(node.stmt) == oracle_pretty(node.stmt)
+            printer.advance()
 
 
 class TestFlattening:
