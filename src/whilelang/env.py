@@ -12,11 +12,10 @@ level is not.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .parser import KEYWORDS
+from .parser import is_identifier
 from .syntax import (
     FALSE, MAX_NUMERAL_DIGITS, TRUE, NatLit, Value, VoidV, pretty, value_text,
 )
@@ -170,9 +169,6 @@ def parse_store(text: str) -> Env:
     return Env(tuple(frames))
 
 
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
 def _parse_frame(body: str) -> Frame:
     entries: dict[str, Value] = {}
     body = body.strip()
@@ -180,8 +176,8 @@ def _parse_frame(body: str) -> Frame:
         for part in body.split(","):
             name, _, raw = part.partition("=")
             name, raw = name.strip(), raw.strip()
-            # Only a name a program can mention: an identifier, no keyword.
-            if not raw or not _NAME.fullmatch(name) or name in KEYWORDS:
+            # Only a name a program can mention.
+            if not raw or not is_identifier(name):
                 raise ValueError(f"malformed binding {_excerpt(part)}")
             if name in entries:
                 raise ValueError(f"duplicate binding {_excerpt(name)}")

@@ -75,6 +75,13 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
+def is_identifier(name: str) -> bool:
+    """Whether `name` is one identifier token: a word that is no keyword."""
+    match = _TOKEN.fullmatch(name)
+    return match is not None and match.lastgroup == "word" \
+        and name not in KEYWORDS
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int,
                  expected: frozenset[str] = frozenset()):

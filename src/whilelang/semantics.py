@@ -38,12 +38,11 @@ from .syntax import (
     MAX_NUMERAL_DIGITS, Add, And, Begin, BeginScope, Call, Decl, Empty,
     EndScope, Eq, EvalContext, Expr, ExprStmt, FalseLit, If, Le, Mul, NatLit,
     Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub, TRUE,
-    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, _BINARY_OPS,
-    decompose, hole_class, plug_frame, protected_pred,
+    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, BINARY_OPS,
+    BOOL_LITERALS, decompose, hole_class, plug_frame, protected_pred,
 )
 
-_EXPR_REDEXES = (Var, Add, Sub, Mul, Eq, Le, And, Not)
-_TRUTHS = (TrueLit, FalseLit)
+_EXPR_REDEXES = (Var, *BINARY_OPS, Not)
 _NUMERAL_LIMIT = 10 ** MAX_NUMERAL_DIGITS
 
 
@@ -126,13 +125,13 @@ def contract_expr(store: Env, redex: Expr, hole: tuple[type, ...]) \
         raise _StuckRedex(redex, "operand of wrong shape")
     if cls is And:
         left, right = type(redex.left), type(redex.right)
-        if left in _TRUTHS and right in _TRUTHS:
+        if left in BOOL_LITERALS and right in BOOL_LITERALS:
             both = left is TrueLit and right is TrueLit
             return "Expr-And", TRUE if both else FALSE
         raise _StuckRedex(redex, "operand of wrong shape")
     if cls is Not:
         operand = type(redex.operand)
-        if operand in _TRUTHS:
+        if operand in BOOL_LITERALS:
             return "Expr-Not", FALSE if operand is TrueLit else TRUE
         raise _StuckRedex(redex, "operand of wrong shape")
     raise TypeError(f"not an expression redex: {redex!r}")
@@ -195,9 +194,11 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
         except ScopeError:
             raise _StuckRedex(redex, "cannot pop the global scope") from None
         return "EndScope", VOID_STMT, store2, procs2
-    elif cls is Seq:
-        if type(redex.first) is ValStmt:
-            return "Seq-discharge", redex.second, store, procs
+    elif cls is Protect:
+        return "Protect", Protected(redex.body), store, procs
+    elif cls is Protected:
+        if type(redex.body) is ValStmt:
+            return "Protected", VOID_STMT, store, procs
     elif cls is ProcDecl:
         try:
             procs2 = envmod.declare_proc(procs, redex.name, redex.body)
@@ -206,11 +207,9 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
                 redex, f"procedure {redex.name} already declared in this scope"
             ) from None
         return "Proc", VOID_STMT, store, procs2
-    elif cls is Protect:
-        return "Protect", Protected(redex.body), store, procs
-    elif cls is Protected:
-        if type(redex.body) is ValStmt:
-            return "Protected", VOID_STMT, store, procs
+    elif cls is Seq:
+        if type(redex.first) is ValStmt:
+            return "Seq-discharge", redex.second, store, procs
     elif cls is ExprStmt:
         return "Expr-Val", ValStmt(redex.expr), store, procs
     elif cls is Empty:
@@ -286,12 +285,12 @@ def _interferes(s: Stmt, name: str | None) -> bool:
                 todo.append(node.rhs)
         elif cls is Seq:
             todo += (node.first, node.second)
+        elif cls is Par:
+            todo += (node.left, node.right)
         elif cls is Var:
             if node.name == name:
                 return True
-        elif cls in _BINARY_OPS:
-            todo += (node.left, node.right)
-        elif cls is Par:
+        elif cls in BINARY_OPS:
             todo += (node.left, node.right)
         elif cls in _INTERFERING:
             return True
@@ -333,11 +332,11 @@ def _persistent(ctx: EvalContext, redex: Redex, axiom: str,
         return False
     for node, field in ctx:
         cls = type(node)
-        if cls is Seq:
-            if protected_pred(node.second):
-                return False
-        elif cls is Par:
+        if cls is Par:
             if _interferes(node.right if field == "left" else node.left, name):
+                return False
+        elif cls is Seq:
+            if protected_pred(node.second):
                 return False
     return True
 

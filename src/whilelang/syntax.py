@@ -115,9 +115,13 @@ TRUE = TrueLit()
 FALSE = FalseLit()
 
 
+_LITERALS = frozenset({NatLit, TrueLit, FalseLit})
+BOOL_LITERALS = (TrueLit, FalseLit)
+
+
 def is_literal(e: Expr) -> bool:
     """Literals are the expression normal forms; variables are not."""
-    return isinstance(e, (NatLit, TrueLit, FalseLit))
+    return type(e) in _LITERALS
 
 
 # ---------------------------------------------------------------------------
@@ -341,34 +345,34 @@ class Printer:
                 text = f"{s.name} := {_pp_expr(s.rhs, 0)}"
             elif cls is Par:
                 text = f"{pp(s.left, _PAR_LEVEL)} par {pp(s.right, _SEQ_LEVEL)}"
-            elif cls is Decl:
-                text = f"var {s.type_name.value} {s.name} := {_pp_expr(s.rhs, 0)}"
             elif cls is If:
                 text = (f"if {_pp_expr(s.cond, 0)}"
                         f" then {pp(s.then_branch, _SIMPLE_LEVEL)}"
                         f" else {pp(s.else_branch, _SIMPLE_LEVEL)}")
             elif cls is While:
                 text = f"while {_pp_expr(s.cond, 0)} do {pp(s.body, _SIMPLE_LEVEL)}"
+            elif cls is ValStmt:
+                text = value_text(s.value)
+            elif cls is Decl:
+                text = f"var {s.type_name.value} {s.name} := {_pp_expr(s.rhs, 0)}"
             elif cls is Call:
                 text = f"call {s.name}"
             elif cls is Begin:
                 text = self._pp_begin(s)
-            elif cls is ProcDecl:
-                text = f"proc {s.name} is {pp(s.body, _SIMPLE_LEVEL)}"
-            elif cls is Protect:
-                text = f"protect {pp(s.body, _PAR_LEVEL)} end"
-            elif cls is Protected:
-                text = f"protected {pp(s.body, _PAR_LEVEL)} end"
-            elif cls is ValStmt:
-                text = value_text(s.value)
-            elif cls is ExprStmt:
-                text = _pp_expr(s.expr, 0)
-            elif cls is BeginScope:
-                text = "beginscope"
             elif cls is EndScope:
                 text = "endscope"
+            elif cls is ProcDecl:
+                text = f"proc {s.name} is {pp(s.body, _SIMPLE_LEVEL)}"
+            elif cls is BeginScope:
+                text = "beginscope"
             elif cls is Empty:
                 text = "ε"
+            elif cls is Protected:
+                text = f"protected {pp(s.body, _PAR_LEVEL)} end"
+            elif cls is Protect:
+                text = f"protect {pp(s.body, _PAR_LEVEL)} end"
+            elif cls is ExprStmt:
+                text = _pp_expr(s.expr, 0)
             else:
                 raise TypeError(f"not a statement: {s!r}")
             entry = (s, text)
@@ -413,8 +417,6 @@ _INFIX = {
 
 def _pp_expr(e: Expr, level: int) -> str:
     cls = type(e)
-    if cls is Var:
-        return e.name
     if cls is NatLit:
         return str(e.n)
     infix = _INFIX.get(cls)
@@ -422,13 +424,15 @@ def _pp_expr(e: Expr, level: int) -> str:
         symbol, own, left, right = infix
         text = _pp_expr(e.left, left) + symbol + _pp_expr(e.right, right)
         return f"({text})" if own < level else text
+    if cls is Var:
+        return e.name
     if cls is TrueLit:
         return "true"
-    if cls is FalseLit:
-        return "false"
     if cls is Not:
         # No operand position binds tighter than `not`: it is never braced.
         return "not " + _pp_expr(e.operand, _NOT_LEVEL)
+    if cls is FalseLit:
+        return "false"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -448,9 +452,10 @@ Redex = Union[Stmt, Expr]
 EvalContext = tuple[tuple[Redex, str], ...]
 
 _ARITH_OPS = (Add, Sub, Mul, Eq, Le)
-_BINARY_OPS = (Add, Sub, Mul, Eq, Le, And)
-# The per-node functions below dispatch on the exact class, not isinstance.
-_LITERALS = frozenset({NatLit, TrueLit, FalseLit})
+BINARY_OPS = _ARITH_OPS + (And,)
+# The per-node functions here and in semantics dispatch on the exact class;
+# each chain tests the classes in the order of their visit counts over the
+# benchmark workloads, most visited first (recorded in BENCH_10.json).
 _STMT_REDEXES = frozenset({While, Begin, Call, Protect, ProcDecl, BeginScope,
                            EndScope, Empty})
 
@@ -464,7 +469,7 @@ def hole_class(ctx: EvalContext) -> tuple[type, ...]:
     if isinstance(node, _ARITH_OPS):
         return (NatLit,)
     if isinstance(node, (And, Not, If)):
-        return TrueLit, FalseLit
+        return BOOL_LITERALS
     return NatLit, TrueLit, FalseLit
 
 
@@ -529,6 +534,8 @@ def _decompose_stmt(s: Stmt, path: list[tuple[Redex, str]],
             path.append((s, "body"))
             _decompose_stmt(body, path, out)
             path.pop()
+    elif cls is ValStmt:
+        pass  # a normal form: no redex
     elif cls is ExprStmt:
         e = s.expr
         if type(e) in _LITERALS:
@@ -537,14 +544,14 @@ def _decompose_stmt(s: Stmt, path: list[tuple[Redex, str]],
             path.append((s, "expr"))
             _decompose_exp(e, path, out)
             path.pop()
-    elif cls is not ValStmt:
+    else:
         raise TypeError(f"not a statement: {s!r}")
 
 
 def _decompose_exp(e: Expr, path: list[tuple[Redex, str]],
                    out: list[tuple[EvalContext, Redex]]) -> None:
     cls = type(e)
-    if cls in _BINARY_OPS:
+    if cls in BINARY_OPS:
         left, right = e.left, e.right
         if type(left) not in _LITERALS:
             path.append((e, "left"))
@@ -582,20 +589,20 @@ def plug_frame(node: Redex, field: str, filled: Redex) -> Redex:
     cls = type(node)
     if cls is Update:
         return Update(node.name, filled)
-    if cls in _BINARY_OPS:
+    if cls in BINARY_OPS:
         if field == "left":
             return cls(filled, node.right)
         return cls(node.left, filled)
     if cls is If:
         return If(filled, node.then_branch, node.else_branch)
-    if cls is Seq:
-        return Seq(filled, node.second)
-    if cls is Par:
-        return Par(filled, node.right) if field == "left" else Par(node.left, filled)
     if cls is Decl:
         return Decl(node.type_name, node.name, filled)
     if cls is Protected:
         return Protected(filled)
+    if cls is Seq:
+        return Seq(filled, node.second)
+    if cls is Par:
+        return Par(filled, node.right) if field == "left" else Par(node.left, filled)
     if cls is Not:
         return Not(filled)
     if cls is ExprStmt:

@@ -248,6 +248,23 @@ class TestUsageAndIOErrors:
         assert r.stderr == \
             "whilelang: error: cannot write standard output: Broken pipe\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a full device")
+    @pytest.mark.parametrize("command,program", [
+        ("run", "sum_to_five"),       # less than one write buffer
+        ("graph", "nested_loops"),    # about 26 KB, several buffers
+    ])
+    def test_standard_output_device_full(self, command, program):
+        with open("/dev/full", "w") as full:
+            r = subprocess.run(
+                [sys.executable, "-m", "whilelang.cli", command,
+                 f"programs/{program}.whl"],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=_child_env(), cwd=ROOT)
+        assert r.returncode == 5
+        assert r.stderr == ("whilelang: error: cannot write standard output:"
+                            " No space left on device\n")
+
     def test_long_store_value_is_not_echoed(self, tmp_program, store_file,
                                             tmp_path):
         # Run from the store's directory, so its path is short in the line.
