@@ -5,20 +5,24 @@ library's decomposition/graph machinery.
 """
 
 from collections import deque
+from dataclasses import dataclass, field
 
 from whilelang import env as envmod
 from whilelang.env import (
     Env, RedeclError, ScopeError, UnboundError, render_procs, render_store,
 )
-from whilelang.parser import KEYWORDS, ParseError, Token
+from whilelang.parser import (
+    KEYWORDS, RUNTIME_KEYWORDS, ParseError, Token, tokenize,
+)
 from whilelang.semantics import (
     Configuration, NumeralOverflow, StepResult, StuckInfo, successors,
 )
 from whilelang.syntax import (
-    Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, ExprStmt,
-    FalseLit, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected, Seq,
-    Stmt, Sub, TrueLit, Update, ValStmt, Var, VoidV, While, If,
-    MAX_NUMERAL_DIGITS, TRUE, FALSE, VOID_STMT, pretty, pretty_expr,
+    Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, Expr,
+    ExprStmt, FalseLit, Le, Mul, NatLit, Not, Par, ProcDecl, Protect,
+    Protected, Seq, Stmt, Sub, TrueLit, TypeName, Update, ValStmt, Var, VoidV,
+    While, If, MAX_NUMERAL_DIGITS, TRUE, FALSE, VOID_STMT, is_literal, pretty,
+    pretty_expr,
 )
 
 
@@ -660,3 +664,250 @@ def oracle_pretty_expr(e, level: int = 0) -> str:
         case Not(b):
             return infix(f"not {pp(b, 4)}", 4)
     raise TypeError(f"not an expression: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser with one method per expression precedence
+# level and its own operator and sort tables.
+
+_ORACLE_BINARY = {"=": Eq, "<=": Le, "+": Add, "-": Sub}
+_ORACLE_BOOLEAN = (TrueLit, FalseLit, Not, And, Eq, Le)
+
+
+@dataclass
+class _OracleParser:
+    tokens: list[Token]
+    pos: int = field(default=0)
+    # The token of each expression node a sort error can point at, keyed by
+    # id(); each entry holds its node, so no other object can take the id.
+    positions: dict[int, tuple[Expr, Token]] = field(default_factory=dict)
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.peek()
+        return tok.kind == kind and (text is None or tok.text == text)
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, text: str | None = None) -> Token:
+        if self.at(kind, text):
+            return self.advance()
+        shown = text or ("identifier" if kind == "ident" else kind)
+        self.fail(frozenset({shown}))
+
+    def fail(self, expected: frozenset[str], message: str | None = None):
+        tok = self.peek()
+        if message is None:
+            shown = tok.text if tok.kind != "eof" else "end of input"
+            message = f"unexpected {shown!r}"
+            if tok.kind == "keyword" and tok.text in RUNTIME_KEYWORDS:
+                message = f"runtime-only keyword {tok.text!r} is not allowed in source"
+        raise ParseError(message, tok.line, tok.column, expected)
+
+    # -- statements ---------------------------------------------------------
+
+    def parse_program(self) -> Stmt:
+        stmt = self.parse_stmt()
+        if not self.at("eof"):
+            self.fail(frozenset({";", "par", "end of input"}))
+        return stmt
+
+    def parse_stmt(self) -> Stmt:
+        stmt = self.parse_seq()
+        while self.at("keyword", "par"):
+            self.advance()
+            stmt = Par(stmt, self.parse_seq())
+        return stmt
+
+    def parse_seq(self) -> Stmt:
+        # A loop, not recursion: a long straight line costs no stack.
+        stmts = [self.parse_simple()]
+        while self.at("symbol", ";"):
+            self.advance()
+            stmts.append(self.parse_simple())
+        stmt = stmts.pop()
+        while stmts:
+            stmt = Seq(stmts.pop(), stmt)
+        return stmt
+
+    def parse_simple(self) -> Stmt:
+        tok = self.peek()
+        if tok.kind == "keyword":
+            match tok.text:
+                case "var":
+                    return self.parse_decl()
+                case "if":
+                    self.advance()
+                    cond = self.parse_bexp()
+                    self.expect("keyword", "then")
+                    then_branch = self.parse_simple()
+                    self.expect("keyword", "else")
+                    return If(cond, then_branch, self.parse_simple())
+                case "while":
+                    self.advance()
+                    cond = self.parse_bexp()
+                    self.expect("keyword", "do")
+                    return While(cond, self.parse_simple())
+                case "begin":
+                    return self.parse_begin()
+                case "proc":
+                    name = self.parse_proc().name
+                    raise ParseError(
+                        f"procedure declaration {name!r} outside a begin block",
+                        tok.line, tok.column)
+                case "call":
+                    self.advance()
+                    return Call(self.expect("ident").text)
+                case "protect":
+                    self.advance()
+                    body = self.parse_stmt()
+                    self.expect("keyword", "end")
+                    return Protect(body)
+        if tok.kind == "symbol" and tok.text == "{":
+            self.advance()
+            inner = self.parse_stmt()
+            self.expect("symbol", "}")
+            return inner
+        if tok.kind == "ident":
+            name = self.advance().text
+            self.expect("symbol", ":=")
+            return Update(name, self.parse_expr())
+        self.fail(frozenset({"var", "if", "while", "begin", "call",
+                             "protect", "{", "identifier"}))
+
+    def parse_decl(self) -> Decl:
+        self.expect("keyword", "var")
+        tok = self.peek()
+        if tok.kind == "keyword" and tok.text in ("Nat", "Bool", "Cmd"):
+            self.advance()
+            type_name = TypeName(tok.text)
+        else:
+            self.fail(frozenset({"Nat", "Bool", "Cmd"}))
+        name = self.expect("ident").text
+        self.expect("symbol", ":=")
+        return Decl(type_name, name, self.parse_expr())
+
+    def parse_proc(self) -> ProcDecl:
+        self.expect("keyword", "proc")
+        name = self.expect("ident").text
+        self.expect("keyword", "is")
+        return ProcDecl(name, self.parse_simple())
+
+    def parse_begin(self) -> Begin:
+        self.expect("keyword", "begin")
+        decls: list[Decl] = []
+        while self.at("keyword", "var"):
+            decls.append(self.parse_decl())
+            if self.at("symbol", ";"):
+                self.advance()
+        procs: list[ProcDecl] = []
+        while self.at("keyword", "proc"):
+            procs.append(self.parse_proc())
+            if self.at("symbol", ";"):
+                self.advance()
+        if self.at("keyword", "end"):
+            # Every item was a declaration; the grammar still requires a
+            # body, so the final variable declaration is it.
+            if procs or not decls:
+                self.fail(frozenset({"statement"}),
+                          "begin block has no body statement")
+            body: Stmt = decls.pop()
+        else:
+            body = self.parse_stmt()
+        self.expect("keyword", "end")
+        return Begin(tuple(decls), tuple(procs), body)
+
+    # -- expressions --------------------------------------------------------
+
+    def parse_expr(self) -> Expr:
+        """Right-hand side of := — boolean or arithmetic, told apart by shape."""
+        e = self.parse_and()
+        self.check_sort(e, isinstance(e, _ORACLE_BOOLEAN))
+        return e
+
+    def parse_bexp(self) -> Expr:
+        e = self.parse_and()
+        self.check_sort(e, True)
+        return e
+
+    def placed(self, e: Expr, tok: Token) -> Expr:
+        self.positions[id(e)] = (e, tok)
+        return e
+
+    def parse_and(self) -> Expr:
+        left = self.parse_cmp()
+        if self.at("keyword", "and"):
+            tok = self.advance()
+            return self.placed(And(left, self.parse_and()), tok)
+        return left
+
+    def parse_cmp(self) -> Expr:
+        left = self.parse_add()
+        if self.at("symbol", "=") or self.at("symbol", "<="):
+            tok = self.advance()
+            return self.placed(_ORACLE_BINARY[tok.text](left, self.parse_add()), tok)
+        return left
+
+    def parse_add(self) -> Expr:
+        left = self.parse_mul()
+        while self.at("symbol", "+") or self.at("symbol", "-"):
+            tok = self.advance()
+            left = self.placed(_ORACLE_BINARY[tok.text](left, self.parse_mul()), tok)
+        return left
+
+    def parse_mul(self) -> Expr:
+        left = self.parse_unary()
+        while self.at("symbol", "*"):
+            tok = self.advance()
+            left = self.placed(Mul(left, self.parse_unary()), tok)
+        return left
+
+    def parse_unary(self) -> Expr:
+        if self.at("keyword", "not"):
+            tok = self.advance()
+            return self.placed(Not(self.parse_unary()), tok)
+        return self.parse_atom()
+
+    def parse_atom(self) -> Expr:
+        # Each literal is a fresh node, so each has its own position.
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            return self.placed(NatLit(int(tok.text)), tok)
+        if tok.kind == "ident":
+            self.advance()
+            return Var(tok.text)
+        if tok.kind == "keyword" and tok.text in ("true", "false"):
+            self.advance()
+            return self.placed(TrueLit() if tok.text == "true" else FalseLit(), tok)
+        if tok.kind == "symbol" and tok.text == "(":
+            self.advance()
+            inner = self.parse_and()
+            self.expect("symbol", ")")
+            return inner
+        self.fail(frozenset({"number", "identifier", "true", "false", "("}))
+
+    def check_sort(self, e: Expr, boolean: bool) -> None:
+        """Raise at the first node of `e`, root first and left to right, whose
+        sort is not the one its position takes; a variable takes either."""
+        if isinstance(e, Var):
+            return
+        if isinstance(e, _ORACLE_BOOLEAN) != boolean:
+            tok = self.positions[id(e)][1]
+            message = ("arithmetic expression in boolean position" if boolean
+                       else "boolean expression in arithmetic position")
+            raise ParseError(message, tok.line, tok.column)
+        if isinstance(e, Not):
+            self.check_sort(e.operand, True)
+        elif not is_literal(e):
+            self.check_sort(e.left, isinstance(e, And))
+            self.check_sort(e.right, isinstance(e, And))
+
+
+def oracle_parse_program(text: str) -> Stmt:
+    return _OracleParser(tokenize(text)).parse_program()

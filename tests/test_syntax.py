@@ -1,5 +1,6 @@
 """Parser, pretty-printer, and decomposition machinery."""
 
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from strategies import SEEDED_STORE, exprs, runtime_stmts, source_stmts
 from oracles import (
-    oracle_pretty, oracle_pretty_expr, oracle_redex_positions, oracle_tokenize,
+    oracle_parse_program, oracle_pretty, oracle_pretty_expr,
+    oracle_redex_positions, oracle_tokenize,
 )
 
 from whilelang.env import Env
@@ -223,6 +225,83 @@ class TestTokenizeMatchesOracle:
     def test_sample_programs(self, path):
         text = path.read_text("utf-8")
         assert _scan(tokenize, text) == _scan(oracle_tokenize, text)
+
+
+def _parse(parser, text):
+    try:
+        return parser(text)
+    except ParseError as e:
+        return ("error", e.message, e.line, e.column, e.expected)
+
+
+def _assert_parse_matches_oracle(text):
+    try:
+        expected = _parse(oracle_parse_program, text)
+    except RecursionError:
+        return
+    assert _parse(parse_program, text) == expected
+
+
+def _deletion_mutants(text, most=4):
+    """`text` with each run of 1 to `most` consecutive tokens cut out."""
+    line_starts = [0]
+    for line in text.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
+    spans = []
+    for tok in tokenize(text)[:-1]:
+        start = line_starts[tok.line - 1] + tok.column - 1
+        # An operator's Unicode spelling is one character.
+        size = len(tok.text) if text.startswith(tok.text, start) else 1
+        spans.append((start, start + size))
+    for i in range(len(spans)):
+        for j in range(i, min(i + most, len(spans))):
+            yield text[:spans[i][0]] + text[spans[j][1]:]
+
+
+EXPR_PIECES = ["x", "y", "0", "7", "true", "false", "(", ")", "not", "and",
+               "=", "<=", "+", "-", "*"]
+STMT_PIECES = [":=", ";", "var", "Nat", "Bool", "if", "then", "else",
+               "while", "do", "begin", "end", "proc", "is", "call", "par",
+               "protect", "{", "}", "beginscope"]
+BINARY_SYMBOLS = ["and", "=", "<=", "+", "-", "*"]
+
+
+def _operator_nestings():
+    """Each ordered pair of binary operators, nested either way and
+    unbraced, alone and under `not`, over operands of each sort."""
+    for op1, op2 in product(BINARY_SYMBOLS, repeat=2):
+        for a, b, c in (("a", "b", "c"), ("1", "2", "3"),
+                        ("true", "false", "true")):
+            for e in (f"{a} {op1} ({b} {op2} {c})",
+                      f"({a} {op1} {b}) {op2} {c}",
+                      f"{a} {op1} {b} {op2} {c}"):
+                for form in (e, f"not {e}", f"not ({e})"):
+                    yield f"x := {form}"
+                    yield f"while {form} do x := 1"
+
+
+class TestParseMatchesOracle:
+    """The parser against the one with a method per precedence level: the
+    same tree, or the same error with the same position and expectations."""
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("**/*.whl")),
+                             ids=lambda p: p.name)
+    def test_sample_programs_and_deletion_mutants(self, path):
+        text = path.read_text("utf-8")
+        _assert_parse_matches_oracle(text)
+        for mutant in _deletion_mutants(text):
+            _assert_parse_matches_oracle(mutant)
+
+    @settings(max_examples=1000)
+    @given(st.sampled_from(["", "x :=", "var Bool x :=", "if", "while"]),
+           st.lists(st.sampled_from(EXPR_PIECES * 3 + STMT_PIECES),
+                    max_size=20))
+    def test_token_streams(self, head, pieces):
+        _assert_parse_matches_oracle(" ".join([head, *pieces]))
+
+    def test_operator_nestings(self):
+        for text in _operator_nestings():
+            _assert_parse_matches_oracle(text)
 
 
 class TestPretty:
