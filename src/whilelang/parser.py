@@ -20,13 +20,14 @@ when every item turns out to be a declaration, the last one is the body.
 A procedure declaration is accepted only in a block's procedure section;
 the grammar rejects it anywhere else, reporting it at its 'proc' token.
 
-Expressions: and < (= | <=) < (+ | -) < * < not < atom, with 'and' right-
-associative and '+'/'-'/'*' left-associative. '=' and '<=' take arithmetic
-operands; 'and'/'not' take boolean ones. A right-hand side that is a bare
-variable or arithmetic expression parses as arithmetic; true/false/not/and
-and comparisons mark it boolean. An expression is read straight into the
-syntax nodes, and its sorts are checked once it is read, root first and
-left to right: the first node of the wrong sort is the one reported.
+Expressions are read by precedence climbing over `syntax.OPERATORS`,
+which gives each binary operator's precedence, associativity and operand
+and result sorts; 'not' binds tighter than every binary operator and takes
+a boolean. A right-hand side that is a bare variable or arithmetic
+expression parses as arithmetic; true/false/not/and and comparisons mark it
+boolean. An expression is read straight into the syntax nodes, and its
+sorts are checked once it is read, root first and left to right: the first
+node of the wrong sort is the one reported.
 
 The scanner is one regular expression, run over the whole source before
 parsing, so a bad character is reported before any syntax error. Unicode
@@ -45,9 +46,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .syntax import (
-    MAX_NUMERAL_DIGITS, Add, And, Begin, Call, Decl, Eq, Expr, FalseLit, If,
-    Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Seq, Stmt, Sub, TrueLit,
-    TypeName, Update, Var, While, is_literal,
+    MAX_NUMERAL_DIGITS, NOT_LEVEL, OPERATORS, Begin, Call, Decl, Expr,
+    FalseLit, If, NatLit, Not, Par, ProcDecl, Protect, Seq, Stmt, TrueLit,
+    TypeName, Update, Var, While,
 )
 
 RUNTIME_KEYWORDS = {"beginscope", "endscope", "protected"}
@@ -137,8 +138,12 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-_BINARY = {"=": Eq, "<=": Le, "+": Add, "-": Sub}
-_BOOLEAN = (TrueLit, FalseLit, Not, And, Eq, Le)
+# A token's text alone tells a keyword or a symbol: no name is spelt as one.
+_BY_SYMBOL = {row[0]: cls for cls, row in OPERATORS.items()}
+# The sort an expression's root gives it; a variable has none of its own.
+_SORTS = {cls: row[5] for cls, row in OPERATORS.items()} | {
+    NatLit: TypeName.NAT, TrueLit: TypeName.BOOL, FalseLit: TypeName.BOOL,
+    Not: TypeName.BOOL}
 
 
 @dataclass
@@ -210,14 +215,14 @@ class _Parser:
                     return self.parse_decl()
                 case "if":
                     self.advance()
-                    cond = self.parse_bexp()
+                    cond = self.parse_expr(TypeName.BOOL)
                     self.expect("keyword", "then")
                     then_branch = self.parse_simple()
                     self.expect("keyword", "else")
                     return If(cond, then_branch, self.parse_simple())
                 case "while":
                     self.advance()
-                    cond = self.parse_bexp()
+                    cond = self.parse_expr(TypeName.BOOL)
                     self.expect("keyword", "do")
                     return While(cond, self.parse_simple())
                 case "begin":
@@ -291,89 +296,67 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        """Right-hand side of := — boolean or arithmetic, told apart by shape."""
-        e = self.parse_and()
-        self.check_sort(e, isinstance(e, _BOOLEAN))
-        return e
-
-    def parse_bexp(self) -> Expr:
-        e = self.parse_and()
-        self.check_sort(e, True)
+    def parse_expr(self, sort: TypeName | None = None) -> Expr:
+        """An expression of `sort`; by default the right-hand side of :=,
+        boolean or arithmetic, told apart by shape."""
+        e = self.parse_binary(0)
+        self.check_sort(e, sort or _SORTS.get(type(e)))
         return e
 
     def placed(self, e: Expr, tok: Token) -> Expr:
         self.positions[id(e)] = (e, tok)
         return e
 
-    def parse_and(self) -> Expr:
-        left = self.parse_cmp()
-        if self.at("keyword", "and"):
+    def parse_binary(self, level: int) -> Expr:
+        """Precedence climbing: the longest expression from here whose
+        operators outside parentheses are at `level` or tighter."""
+        left, left_level = self.parse_unary(), NOT_LEVEL
+        while (cls := _BY_SYMBOL.get(self.peek().text)) is not None:
+            _, own, left_operand, right_operand, _, _ = OPERATORS[cls]
+            if own < level or left_operand > left_level:
+                break
             tok = self.advance()
-            return self.placed(And(left, self.parse_and()), tok)
-        return left
-
-    def parse_cmp(self) -> Expr:
-        left = self.parse_add()
-        if self.at("symbol", "=") or self.at("symbol", "<="):
-            tok = self.advance()
-            return self.placed(_BINARY[tok.text](left, self.parse_add()), tok)
-        return left
-
-    def parse_add(self) -> Expr:
-        left = self.parse_mul()
-        while self.at("symbol", "+") or self.at("symbol", "-"):
-            tok = self.advance()
-            left = self.placed(_BINARY[tok.text](left, self.parse_mul()), tok)
-        return left
-
-    def parse_mul(self) -> Expr:
-        left = self.parse_unary()
-        while self.at("symbol", "*"):
-            tok = self.advance()
-            left = self.placed(Mul(left, self.parse_unary()), tok)
+            left = self.placed(cls(left, self.parse_binary(right_operand)), tok)
+            left_level = own
         return left
 
     def parse_unary(self) -> Expr:
-        if self.at("keyword", "not"):
-            tok = self.advance()
-            return self.placed(Not(self.parse_unary()), tok)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
         # Each literal is a fresh node, so each has its own position.
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return self.placed(NatLit(int(tok.text)), tok)
+        tok = self.advance()
+        text = tok.text
         if tok.kind == "ident":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "keyword" and tok.text in ("true", "false"):
-            self.advance()
-            return self.placed(TrueLit() if tok.text == "true" else FalseLit(), tok)
-        if tok.kind == "symbol" and tok.text == "(":
-            self.advance()
-            inner = self.parse_and()
+            return Var(text)
+        if tok.kind == "number":
+            return self.placed(NatLit(int(text)), tok)
+        if text == "not":
+            return self.placed(Not(self.parse_unary()), tok)
+        if text == "true" or text == "false":
+            return self.placed(TrueLit() if text == "true" else FalseLit(), tok)
+        if text == "(":
+            inner = self.parse_binary(0)
             self.expect("symbol", ")")
             return inner
+        self.pos -= 1
         self.fail(frozenset({"number", "identifier", "true", "false", "("}))
 
-    def check_sort(self, e: Expr, boolean: bool) -> None:
+    def check_sort(self, e: Expr, sort: TypeName | None) -> None:
         """Raise at the first node of `e`, root first and left to right, whose
         sort is not the one its position takes; a variable takes either."""
-        if isinstance(e, Var):
+        own = _SORTS.get(type(e))
+        if own is None:
             return
-        if isinstance(e, _BOOLEAN) != boolean:
+        if own is not sort:
             tok = self.positions[id(e)][1]
-            message = ("arithmetic expression in boolean position" if boolean
+            message = ("arithmetic expression in boolean position"
+                       if sort is TypeName.BOOL
                        else "boolean expression in arithmetic position")
             raise ParseError(message, tok.line, tok.column)
-        if isinstance(e, Not):
-            self.check_sort(e.operand, True)
-        elif not is_literal(e):
-            self.check_sort(e.left, isinstance(e, And))
-            self.check_sort(e.right, isinstance(e, And))
+        row = OPERATORS.get(type(e))
+        if row is not None:
+            self.check_sort(e.left, row[4])
+            self.check_sort(e.right, row[4])
+        elif type(e) is Not:
+            self.check_sort(e.operand, TypeName.BOOL)
 
 
 def parse_program(text: str) -> Stmt:

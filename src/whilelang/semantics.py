@@ -38,11 +38,11 @@ from .syntax import (
     MAX_NUMERAL_DIGITS, Add, And, Begin, BeginScope, Call, Decl, Empty,
     EndScope, Eq, EvalContext, Expr, ExprStmt, FalseLit, If, Le, Mul, NatLit,
     Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub, TRUE,
-    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, BINARY_OPS,
+    FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, OPERATORS,
     BOOL_LITERALS, decompose, hole_class, plug_frame, protected_pred,
 )
 
-_EXPR_REDEXES = (Var, *BINARY_OPS, Not)
+_EXPR_REDEXES = (Var, *OPERATORS, Not)
 _NUMERAL_LIMIT = 10 ** MAX_NUMERAL_DIGITS
 
 
@@ -290,7 +290,7 @@ def _interferes(s: Stmt, name: str | None) -> bool:
         elif cls is Var:
             if node.name == name:
                 return True
-        elif cls in BINARY_OPS:
+        elif cls in OPERATORS:
             todo += (node.left, node.right)
         elif cls in _INTERFERING:
             return True

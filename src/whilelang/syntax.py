@@ -115,13 +115,9 @@ TRUE = TrueLit()
 FALSE = FalseLit()
 
 
+# Literals are the expression normal forms; variables are not.
 _LITERALS = frozenset({NatLit, TrueLit, FalseLit})
 BOOL_LITERALS = (TrueLit, FalseLit)
-
-
-def is_literal(e: Expr) -> bool:
-    """Literals are the expression normal forms; variables are not."""
-    return type(e) in _LITERALS
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +284,7 @@ def protected_pred(s: Stmt) -> bool:
 # Statement precedence, loosest first:  par  <  ;  <  simple.
 # `;` is right-associative and binds tighter than `par`; `par` is
 # left-associative.  if/while bodies and if branches are simple statements;
-# `{ ... }` regroups.  Expression precedence, loosest first:
-# and < (= , <=) < (+, -) < * < not < atom.
+# `{ ... }` regroups.  Expression precedence is in OPERATORS below.
 
 _PAR_LEVEL = 0
 _SEQ_LEVEL = 1
@@ -396,33 +391,36 @@ class Printer:
         return "begin " + "; ".join(items) + " end"
 
 
-# Expression precedence levels, loosest binding first.
-_AND_LEVEL = 0
-_CMP_LEVEL = 1
-_ADD_LEVEL = 2
-_MUL_LEVEL = 3
-_NOT_LEVEL = 4
-
-
-# Each binary operator: (symbol, own level, left operand's, right operand's).
-_INFIX = {
-    Add: (" + ", _ADD_LEVEL, _ADD_LEVEL, _MUL_LEVEL),
-    Sub: (" - ", _ADD_LEVEL, _ADD_LEVEL, _MUL_LEVEL),
-    Mul: (" * ", _MUL_LEVEL, _MUL_LEVEL, _NOT_LEVEL),
-    Eq: (" = ", _CMP_LEVEL, _ADD_LEVEL, _ADD_LEVEL),
-    Le: (" <= ", _CMP_LEVEL, _ADD_LEVEL, _ADD_LEVEL),
-    And: (" and ", _AND_LEVEL, _CMP_LEVEL, _AND_LEVEL),
+# The binary operators, read by the parser, the printer, the type checker
+# and the stepper. Expression precedence, loosest binding first, at levels
+# 0 to 4:
+#
+#     and  <  (=, <=)  <  (+, -)  <  *  <  not  <  atom
+#
+# Each row: (symbol, own level, left operand's level, right operand's level,
+# operand type, result type). An operand read or printed at a level above
+# its operator's takes that operator only in parentheses: `and` is
+# right-associative, `+`, `-` and `*` left-associative, `=` and `<=`
+# non-associative.
+OPERATORS = {
+    And: ("and", 0, 1, 0, TypeName.BOOL, TypeName.BOOL),
+    Eq: ("=", 1, 2, 2, TypeName.NAT, TypeName.BOOL),
+    Le: ("<=", 1, 2, 2, TypeName.NAT, TypeName.BOOL),
+    Add: ("+", 2, 2, 3, TypeName.NAT, TypeName.NAT),
+    Sub: ("-", 2, 2, 3, TypeName.NAT, TypeName.NAT),
+    Mul: ("*", 3, 3, 4, TypeName.NAT, TypeName.NAT),
 }
+NOT_LEVEL = 4
 
 
 def _pp_expr(e: Expr, level: int) -> str:
     cls = type(e)
     if cls is NatLit:
         return str(e.n)
-    infix = _INFIX.get(cls)
-    if infix is not None:
-        symbol, own, left, right = infix
-        text = _pp_expr(e.left, left) + symbol + _pp_expr(e.right, right)
+    row = OPERATORS.get(cls)
+    if row is not None:
+        symbol, own, left, right, _, _ = row
+        text = f"{_pp_expr(e.left, left)} {symbol} {_pp_expr(e.right, right)}"
         return f"({text})" if own < level else text
     if cls is Var:
         return e.name
@@ -430,7 +428,7 @@ def _pp_expr(e: Expr, level: int) -> str:
         return "true"
     if cls is Not:
         # No operand position binds tighter than `not`: it is never braced.
-        return "not " + _pp_expr(e.operand, _NOT_LEVEL)
+        return "not " + _pp_expr(e.operand, NOT_LEVEL)
     if cls is FalseLit:
         return "false"
     raise TypeError(f"not an expression: {e!r}")
@@ -451,8 +449,6 @@ Redex = Union[Stmt, Expr]
 
 EvalContext = tuple[tuple[Redex, str], ...]
 
-_ARITH_OPS = (Add, Sub, Mul, Eq, Le)
-BINARY_OPS = _ARITH_OPS + (And,)
 # The per-node functions here and in semantics dispatch on the exact class;
 # each chain tests the classes in the order of their visit counts over the
 # benchmark workloads, most visited first (recorded in BENCH_10.json).
@@ -460,17 +456,20 @@ _STMT_REDEXES = frozenset({While, Begin, Call, Protect, ProcDecl, BeginScope,
                            EndScope, Empty})
 
 
+# The literals that may fill an operand of each class: those of the operand
+# type in OPERATORS, and booleans under `not` or in a condition.
+_HOLES = {cls: (NatLit,) if row[4] is TypeName.NAT else BOOL_LITERALS
+          for cls, row in OPERATORS.items()}
+_HOLES[Not] = _HOLES[If] = BOOL_LITERALS
+_ANY_LITERAL = (NatLit, TrueLit, FalseLit)
+
+
 def hole_class(ctx: EvalContext) -> tuple[type, ...]:
     """The literal classes that may fill the innermost hole of `ctx`, an
     expression position: numerals under an arithmetic operator or a
     comparison, booleans under `and`, `not` or a condition, any literal
     elsewhere. `void` fills no expression hole."""
-    node = ctx[-1][0]
-    if isinstance(node, _ARITH_OPS):
-        return (NatLit,)
-    if isinstance(node, (And, Not, If)):
-        return BOOL_LITERALS
-    return NatLit, TrueLit, FalseLit
+    return _HOLES.get(type(ctx[-1][0]), _ANY_LITERAL)
 
 
 def decompose(s: Stmt) -> list[tuple[EvalContext, Redex]]:
@@ -551,7 +550,7 @@ def _decompose_stmt(s: Stmt, path: list[tuple[Redex, str]],
 def _decompose_exp(e: Expr, path: list[tuple[Redex, str]],
                    out: list[tuple[EvalContext, Redex]]) -> None:
     cls = type(e)
-    if cls in BINARY_OPS:
+    if cls in OPERATORS:
         left, right = e.left, e.right
         if type(left) not in _LITERALS:
             path.append((e, "left"))
@@ -589,7 +588,7 @@ def plug_frame(node: Redex, field: str, filled: Redex) -> Redex:
     cls = type(node)
     if cls is Update:
         return Update(node.name, filled)
-    if cls in BINARY_OPS:
+    if cls in OPERATORS:
         if field == "left":
             return cls(filled, node.right)
         return cls(node.left, filled)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 from .syntax import (
     EXPR_CLASSES, Add, And, Begin, Call, Decl, Empty, Eq, Expr, FalseLit, If,
-    Le, Mul, NatLit, Not, Par, Printer, ProcDecl, Protect, Redex, Seq, Stmt,
-    Sub, TrueLit, TypeName, Update, Var, While, is_source_form, pretty,
-    pretty_expr,
+    Le, Mul, NatLit, Not, OPERATORS, Par, Printer, ProcDecl, Protect, Redex,
+    Seq, Stmt, Sub, TrueLit, TypeName, Update, Var, While, is_source_form,
+    pretty, pretty_expr,
 )
 
 
@@ -125,15 +125,9 @@ def _mismatch(rule: str, location: Redex, expected: TypeName,
     return TypeCheckError(rule, location, f"expected {expected}, found {found}")
 
 
-# Each binary operator: its rule, the type of both operands, its own type.
-_BINARY_RULES = {
-    Add: ("T-Add", TypeName.NAT, TypeName.NAT),
-    Sub: ("T-Sub", TypeName.NAT, TypeName.NAT),
-    Mul: ("T-Mult", TypeName.NAT, TypeName.NAT),
-    Eq: ("T-Equal", TypeName.NAT, TypeName.BOOL),
-    Le: ("T-LEqual", TypeName.NAT, TypeName.BOOL),
-    And: ("T-And", TypeName.BOOL, TypeName.BOOL),
-}
+# Each binary operator's rule; its types are in its OPERATORS row.
+_BINARY_RULES = {Add: "T-Add", Sub: "T-Sub", Mul: "T-Mult", Eq: "T-Equal",
+                 Le: "T-LEqual", And: "T-And"}
 
 
 def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
@@ -160,13 +154,14 @@ def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
             if t is None:
                 raise TypeCheckError("T-Var", e, "unbound variable")
             return axiom("T-Var", t)
-        case Add() | Sub() | Mul() | Eq() | Le() | And():
-            rule, want, t = _BINARY_RULES[type(e)]
-            return axiom(rule, t, (operand(rule, e.left, want),
-                                   operand(rule, e.right, want)))
         case Not(b):
             return axiom("T-Not", TypeName.BOOL,
                          (operand("T-Not", b, TypeName.BOOL),))
+        case _ if type(e) in OPERATORS:
+            rule = _BINARY_RULES[type(e)]
+            *_, want, t = OPERATORS[type(e)]
+            return axiom(rule, t, (operand(rule, e.left, want),
+                                   operand(rule, e.right, want)))
     raise TypeError(f"not an expression: {e!r}")
 
 

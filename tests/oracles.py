@@ -21,8 +21,7 @@ from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, Expr,
     ExprStmt, FalseLit, Le, Mul, NatLit, Not, Par, ProcDecl, Protect,
     Protected, Seq, Stmt, Sub, TrueLit, TypeName, Update, ValStmt, Var, VoidV,
-    While, If, MAX_NUMERAL_DIGITS, TRUE, FALSE, VOID_STMT, is_literal, pretty,
-    pretty_expr,
+    While, If, MAX_NUMERAL_DIGITS, TRUE, FALSE, VOID_STMT, pretty, pretty_expr,
 )
 
 
@@ -904,7 +903,7 @@ class _OracleParser:
             raise ParseError(message, tok.line, tok.column)
         if isinstance(e, Not):
             self.check_sort(e.operand, True)
-        elif not is_literal(e):
+        elif not is_value_node(e):
             self.check_sort(e.left, isinstance(e, And))
             self.check_sort(e.right, isinstance(e, And))
 

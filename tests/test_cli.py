@@ -290,6 +290,10 @@ class TestUsageAndIOErrors:
         self.assert_usage_error(r, "argument --max-steps")
 
 
+def parenthesized_one(levels):
+    return "var Nat x := " + "(" * levels + "1" + ")" * levels
+
+
 class TestRunawayNesting:
     """Exit 4 with one line on stderr and no traceback."""
 
@@ -297,13 +301,34 @@ class TestRunawayNesting:
     # grows until walking it exceeds the recursion limit.
     RUNAWAY = "var Nat a := 0; begin proc p is protect call p end; call p end"
 
-    @pytest.mark.parametrize("command", ["outcomes", "run"])
-    def test_recursion_limit_is_exit_4(self, tmp_program, command):
-        r = whilelang(command, tmp_program(self.RUNAWAY))
+    @pytest.mark.parametrize("command,program", [
+        ("outcomes", RUNAWAY),
+        ("run", RUNAWAY),
+        ("parse", parenthesized_one(5000)),
+        ("check", parenthesized_one(5000)),
+        ("run", parenthesized_one(5000)),
+    ], ids=["outcomes", "run", "parse-parentheses", "check-parentheses",
+            "run-parentheses"])
+    def test_recursion_limit_is_exit_4(self, tmp_program, command, program):
+        r = whilelang(command, tmp_program(program))
         assert r.returncode == 4
         assert r.stdout == ""
         assert r.stderr == (
             "whilelang: error: term nesting exceeds the recursion limit\n")
+
+
+class TestDeepParentheses:
+    """The parser takes two stack frames per parenthesis level, so 250
+    levels around a numeral stay inside the recursion limit."""
+
+    @pytest.mark.parametrize("command,stdout", [
+        ("parse", "var Nat x := 1\n"),
+        ("check", "ok: Cmd\n"),
+        ("run", "void ({x=1})\n"),
+    ], ids=["parse", "check", "run"])
+    def test_250_levels(self, tmp_program, command, stdout):
+        r = whilelang(command, tmp_program(parenthesized_one(250)))
+        assert (r.returncode, r.stdout, r.stderr) == (0, stdout, "")
 
 
 class TestNumeralBound:
