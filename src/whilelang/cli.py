@@ -9,8 +9,10 @@ file, an `--out` file or standard output that cannot be written). Errors
 print one line on stderr.
 
 `graph` writes the full reduction graph; `outcomes` explores the
-partial-order reduced one, which has the same leaves, so its
-`--max-states`/`--max-depth` budgets count reduced states.
+partial-order and symmetry reduced one, which has the same leaves, so its
+`--max-states`/`--max-depth` budgets count canonical states (par sides in
+sorted order). Its stuck lines list every stuck redex of each stuck leaf;
+`run` and `trace` report the first.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ terminal, stuck, or budget-exhausted end and records the trace. `explore`
 builds the whole reduction graph over all interleavings breadth-first,
 deduplicating configurations by structural equality, so loops show up as
 cycles instead of unbounded unrolling; `explore(..., reduce=True)` builds
-the partial-order reduced graph instead, which has the same leaves.
-`outcomes` collects the graph's leaves, `to_dot` and `to_json_trace`
+the partial-order and symmetry reduced graph instead, which has the same
+leaves up to the order of par sides. `outcomes` collects the graph's
+leaves, `to_dot` and `to_json_trace`
 serialize graph and trace in stable orders so identical inputs give
 byte-identical files.
 """
@@ -21,9 +22,13 @@ from typing import Union
 
 from .env import render_procs, render_store
 from .semantics import (
-    Configuration, StuckInfo, diagnose, is_terminal, successors,
+    Configuration, StuckInfo, diagnose, is_terminal, stuck_redexes,
+    successors,
 )
-from .syntax import EXPR_CLASSES, Printer, Redex, Value, pretty, pretty_expr, value_text
+from .syntax import (
+    EXPR_CLASSES, Printer, Redex, Value, pretty, pretty_expr, symmetric_form,
+    value_text,
+)
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_STATES = 50_000
@@ -108,14 +113,19 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
     limit still had successors.
 
     With `reduce`, each state is expanded by `successors(c, reduce=True)`:
-    one persistent step where there is one, all steps otherwise. The graph
-    then lacks interleavings but keeps every terminal and stuck leaf, so
-    `outcomes` of it is that of the full graph; the budgets count its
-    states and depth, so a program whose full graph would exceed them can
-    still be explored completely.
+    one persistent step where there is one, all steps otherwise. The root
+    and every successor are taken in `symmetric_form` before the index is
+    probed, so states that differ only in the order of par sides are one
+    node. The graph then lacks interleavings and permutations but keeps
+    every terminal and stuck leaf (in symmetric form), so `outcomes` of it
+    is that of the full graph; the budgets count its states and depth, so
+    a program whose full graph would exceed them can still be explored
+    completely.
     """
     if max_states < 1 or max_depth < 1:
         raise ValueError("budgets must be at least 1")
+    if reduce:
+        c0 = _symmetric(c0)
     index = {c0: 0}
     nodes = [c0]
     depth = [0]
@@ -132,21 +142,27 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
                 unexpanded.add(src)
             continue
         for step in options:
+            nxt = _symmetric(step.next) if reduce else step.next
             # One hash and lookup per successor: a new state takes the
             # next index, and the entry is taken back if the budget is full.
-            dst = index.setdefault(step.next, len(nodes))
+            dst = index.setdefault(nxt, len(nodes))
             if dst == len(nodes):
                 if dst >= max_states:
-                    del index[step.next]
+                    del index[nxt]
                     truncated = True
                     unexpanded.add(src)
                     continue
-                nodes.append(step.next)
+                nodes.append(nxt)
                 depth.append(depth[src] + 1)
                 frontier.append(dst)
             edges.append((src, step.rule, dst))
     return ReductionGraph(tuple(nodes), tuple(edges), truncated,
                           frozenset(unexpanded))
+
+
+def _symmetric(c: Configuration) -> Configuration:
+    stmt = symmetric_form(c.stmt)
+    return c if stmt is c.stmt else Configuration(c.store, c.procs, stmt)
 
 
 @dataclass(frozen=True)
@@ -157,12 +173,14 @@ class OutcomeSet:
 
 
 def outcomes(g: ReductionGraph) -> OutcomeSet:
-    """Terminal values with their final stores, and stuck leaves.
+    """Terminal values with their final stores, and every stuck redex of
+    each stuck leaf.
 
     Nodes whose expansion a budget skipped are not leaves and contribute
     nothing; `complete` records whether the graph covered everything. A
     reduced graph (`explore(..., reduce=True)`) gives the same set as the
-    full one whenever both are complete.
+    full one whenever both are complete: a leaf's stuck redexes, unlike
+    the first of them, do not depend on the order of its par sides.
     """
     has_out = {src for src, _, _ in g.edges}
     terminals = set()
@@ -173,7 +191,7 @@ def outcomes(g: ReductionGraph) -> OutcomeSet:
         if is_terminal(node):
             terminals.add((node.stmt.value, render_store(node.store)))
         else:
-            stuck.add(diagnose(node))
+            stuck.update(stuck_redexes(node))
     return OutcomeSet(frozenset(terminals), frozenset(stuck),
                       complete=not g.truncated)
 

@@ -18,14 +18,17 @@ Each step is labeled with the root-to-axiom path of rule names, e.g.
 the primitive expression steps carry Expr-* labels.
 
 Failed contractions (unbound names, redeclaration in the same scope,
-values of the wrong shape) produce no step: the configuration is stuck and
-`diagnose` reports the offending redex. There are no error transitions.
+values of the wrong shape) produce no step: the configuration is stuck,
+`stuck_redexes` lists every offending redex and `diagnose` reports the
+first. There are no error transitions.
 
 `successors(c, reduce=True)` is the partial-order reduced relation used
 when only the leaves matter: it keeps a single step when that step is
 persistent (no interleaving of the other par sides can disable it or be
 affected by it), which preserves every terminal and stuck configuration
-reachable from `c` (Godefroid, LNCS 1032, 1996).
+reachable from `c` (Godefroid, LNCS 1032, 1996). The explorer also takes
+each state it reaches so in `symmetric_form`, merging states whose par sides
+differ only in order (Emerson & Sistla, FMSD 1996; Ip & Dill, FMSD 1996).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .syntax import (
     Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub, TRUE,
     FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, OPERATORS,
     BOOL_LITERALS, decompose, hole_class, plug_frame, protected_pred,
+    symmetric_form,
 )
 
 _EXPR_REDEXES = (Var, *OPERATORS, Not)
@@ -368,7 +372,10 @@ def _step_and_diagnose(c: Configuration, reduce: bool = False) \
         rule, stmt2 = _rebuild(ctx, contractum, axiom)
         results.append(StepResult(rule, Configuration(store2, procs2, stmt2)))
     if not results and not stuck and not is_terminal(c):
-        stuck.append(StuckInfo(c.stmt, "no applicable reduction"))
+        # Named by its symmetric form, so that the order of par sides,
+        # which reduced exploration does not keep, does not show.
+        stuck.append(StuckInfo(symmetric_form(c.stmt),
+                               "no applicable reduction"))
     return results, stuck
 
 
@@ -381,14 +388,24 @@ def successors(c: Configuration, reduce: bool = False) -> list[StepResult]:
     decomposition order is returned alone when there is one, and the
     complete set otherwise: closing over that relation reaches every
     terminal and stuck configuration the complete one reaches, through
-    fewer interleavings.
+    fewer interleavings. Successors are not put in `symmetric_form` here;
+    reduced exploration does that before it deduplicates them, and
+    `outcomes` then reads every stuck redex of a leaf, which does not
+    depend on the order of its par sides.
     """
     return _step_and_diagnose(c, reduce)[0]
 
 
-def diagnose(c: Configuration) -> StuckInfo | None:
-    """Why a non-terminal configuration has no successors, if that is so."""
+def stuck_redexes(c: Configuration) -> list[StuckInfo]:
+    """Every stuck redex of a configuration with no successors, in
+    decomposition order; empty when it has a successor or is terminal.
+    As a set it does not depend on the order of par sides."""
     results, stuck = _step_and_diagnose(c)
-    if results or is_terminal(c):
-        return None
-    return stuck[0]
+    return [] if results else stuck
+
+
+def diagnose(c: Configuration) -> StuckInfo | None:
+    """Why a non-terminal configuration has no successors, if that is so:
+    its first stuck redex in decomposition order."""
+    stuck = stuck_redexes(c)
+    return stuck[0] if stuck else None

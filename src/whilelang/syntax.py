@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Union, get_args
 
 
@@ -276,6 +277,112 @@ def protected_pred(s: Stmt) -> bool:
     if cls is Par:
         return protected_pred(s.left) or protected_pred(s.right)
     return cls is Protected
+
+
+# ---------------------------------------------------------------------------
+# Symmetric form
+#
+# A side of a par tree may step exactly when no other side of the tree is
+# in an atomic region, and a side that steps to a value leaves the tree,
+# however the tree is shaped. So the sides form a multiset: permuting them
+# changes neither the steps nor the leaves that follow.
+
+def symmetric_form(s: Stmt) -> Stmt:
+    """The representative of `s` up to the order of par sides: each
+    maximal par tree in an evaluation position (the root, a sequence head,
+    a `protected` body, or a side of such a tree) has its sides sorted by
+    `_compare_terms` and nested to the left. A statement with no par on its
+    evaluation spine is returned as it is."""
+    cls = type(s)
+    if cls is Seq:
+        first = s.first
+        if type(first) not in _SPINE:
+            return s
+        first = symmetric_form(first)
+        return s if first is s.first else Seq(first, s.second)
+    if cls is Protected:
+        body = symmetric_form(s.body)
+        return s if body is s.body else Protected(body)
+    if cls is not Par:
+        return s
+    # The sides, left to right; `s` is kept when it already is the
+    # representative: nested to the left, each side kept, sides in order.
+    sides = []
+    kept = True
+    todo = [s]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is Par:
+            right = node.right
+            if type(right) is Par:
+                kept = False
+            todo += (right, node.left)
+            continue
+        if cls in _SPINE:
+            side = symmetric_form(node)
+            if side is not node:
+                kept = False
+                node = side
+        sides.append(node)
+    if kept:
+        previous = sides[0]
+        for side in sides[1:]:
+            if _compare_terms(previous, side) > 0:
+                break
+            previous = side
+        else:
+            return s
+    sides.sort(key=_TERM_KEY)
+    tree = sides[0]
+    for side in sides[1:]:
+        tree = Par(tree, side)
+    return tree
+
+
+# The statements whose evaluation position may hold a par tree.
+_SPINE = frozenset({Seq, Protected, Par})
+
+
+def _compare_terms(a, b) -> int:
+    """-1, 0 or 1 as term `a` sorts before, with or after `b`.
+
+    Nodes of two classes sort by the class's place in `_TERM_RANK`, nodes
+    of one class field by field in declaration order, names by text,
+    numerals by value, tuples by length and then item by item. Only equal
+    terms tie, and neither hashes nor ids are read, so the order is the
+    same in every run. The walk stops at the first difference and skips
+    subterms that the two terms share."""
+    if a is b:
+        return 0
+    cls = type(a)
+    if cls is not type(b):
+        return -1 if _TERM_RANK[cls] < _TERM_RANK[type(b)] else 1
+    if cls is str or cls is int:
+        return 0 if a == b else -1 if a < b else 1
+    if cls is tuple:
+        if len(a) != len(b):
+            return -1 if len(a) < len(b) else 1
+        for x, y in zip(a, b):
+            order = _compare_terms(x, y)
+            if order:
+                return order
+        return 0
+    if cls is TypeName:
+        return _compare_terms(a.value, b.value)
+    for field in cls.__slots__:
+        order = _compare_terms(getattr(a, field), getattr(b, field))
+        if order:
+            return order
+    return 0
+
+
+# A sequence sorts after every other statement, so a side down to its last
+# statement comes first, and takes the reduced relation's persistent step
+# first, leaving the par sooner.
+_TERM_RANK = {cls: rank for rank, cls in enumerate(
+    (*EXPR_CLASSES, VoidV, *(c for c in get_args(Stmt) if c is not Seq), Seq))}
+_TERM_KEY = cmp_to_key(_compare_terms)
 
 
 # ---------------------------------------------------------------------------

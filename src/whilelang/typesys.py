@@ -131,16 +131,13 @@ _BINARY_RULES = {Add: "T-Add", Sub: "T-Sub", Mul: "T-Mult", Eq: "T-Equal",
 
 
 def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
-    """Expression judgment; output environments always equal the inputs."""
+    """Expression judgment; output environments always equal the inputs.
+
+    Each operand is judged here, not in a helper, so that each level of
+    nesting costs one stack frame."""
 
     def axiom(rule: str, t: TypeName, children=()) -> Judgment:
         return Judgment(rule, gamma, delta, e, t, gamma, delta, children)
-
-    def operand(rule: str, sub: Expr, want: TypeName) -> Judgment:
-        j = type_of_expr(gamma, delta, sub)
-        if j.type is not want:
-            raise _mismatch(rule, e, want, j.type)
-        return j
 
     match e:
         case NatLit(_):
@@ -155,13 +152,20 @@ def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
                 raise TypeCheckError("T-Var", e, "unbound variable")
             return axiom("T-Var", t)
         case Not(b):
-            return axiom("T-Not", TypeName.BOOL,
-                         (operand("T-Not", b, TypeName.BOOL),))
+            j = type_of_expr(gamma, delta, b)
+            if j.type is not TypeName.BOOL:
+                raise _mismatch("T-Not", e, TypeName.BOOL, j.type)
+            return axiom("T-Not", TypeName.BOOL, (j,))
         case _ if type(e) in OPERATORS:
             rule = _BINARY_RULES[type(e)]
             *_, want, t = OPERATORS[type(e)]
-            return axiom(rule, t, (operand(rule, e.left, want),
-                                   operand(rule, e.right, want)))
+            left = type_of_expr(gamma, delta, e.left)
+            if left.type is not want:
+                raise _mismatch(rule, e, want, left.type)
+            right = type_of_expr(gamma, delta, e.right)
+            if right.type is not want:
+                raise _mismatch(rule, e, want, right.type)
+            return axiom(rule, t, (left, right))
     raise TypeError(f"not an expression: {e!r}")
 
 

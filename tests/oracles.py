@@ -4,6 +4,8 @@ Everything here trades speed for obviousness and deliberately avoids the
 library's decomposition/graph machinery.
 """
 
+import dataclasses
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -240,7 +242,14 @@ def oracle_explore(c0: Configuration, max_states: int, max_depth: int,
                    reduce: bool):
     """The explorer's breadth-first search with a membership test before
     each insertion and depths in a dict: (nodes, edges, truncated,
-    unexpanded) as `explore` returns them."""
+    unexpanded) as `explore` returns them. With `reduce`, the root and
+    every successor are taken in symmetric form."""
+    def canonical(c):
+        if not reduce:
+            return c
+        return Configuration(c.store, c.procs, oracle_symmetric_form(c.stmt))
+
+    c0 = canonical(c0)
     index = {c0: 0}
     nodes = [c0]
     depth = {0: 0}
@@ -257,7 +266,7 @@ def oracle_explore(c0: Configuration, max_states: int, max_depth: int,
                 unexpanded.add(src)
             continue
         for step in options:
-            target = step.next
+            target = canonical(step.next)
             if target in index:
                 edges.append((src, step.rule, index[target]))
                 continue
@@ -271,6 +280,48 @@ def oracle_explore(c0: Configuration, max_states: int, max_depth: int,
             edges.append((src, step.rule, index[target]))
             frontier.append(index[target])
     return tuple(nodes), tuple(edges), truncated, frozenset(unexpanded)
+
+
+# ---------------------------------------------------------------------------
+# Symmetric form: par sides sorted by a nested-tuple key, which orders terms
+# as `syntax._compare_terms` does: by class in this list, then field by field.
+
+_ORACLE_CLASS_ORDER = [
+    NatLit, Var, Add, Sub, Mul, TrueLit, FalseLit, Eq, Le, And, Not, VoidV,
+    If, While, Decl, Update, ProcDecl, Begin, Call, Par, Protect, Protected,
+    BeginScope, EndScope, ExprStmt, ValStmt, Empty, Seq,
+]
+
+
+def _oracle_term_key(term):
+    if isinstance(term, (str, int)):
+        return term
+    if isinstance(term, TypeName):
+        return term.value
+    if isinstance(term, tuple):
+        return (len(term), *map(_oracle_term_key, term))
+    return (_ORACLE_CLASS_ORDER.index(type(term)),
+            *(_oracle_term_key(getattr(term, f.name))
+              for f in dataclasses.fields(term)))
+
+
+def _oracle_par_sides(s):
+    if isinstance(s, Par):
+        return _oracle_par_sides(s.left) + _oracle_par_sides(s.right)
+    return [s]
+
+
+def oracle_symmetric_form(s):
+    match s:
+        case Seq(first, second):
+            return Seq(oracle_symmetric_form(first), second)
+        case Protected(body):
+            return Protected(oracle_symmetric_form(body))
+        case Par():
+            sides = sorted(map(oracle_symmetric_form, _oracle_par_sides(s)),
+                           key=_oracle_term_key)
+            return functools.reduce(Par, sides)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +621,8 @@ def oracle_step(c: Configuration, reduce: bool):
         rule, stmt2 = _oracle_rebuild(ctx, contractum, axiom)
         results.append(StepResult(rule, Configuration(store2, procs2, stmt2)))
     if not results and not stuck and not isinstance(c.stmt, ValStmt):
-        stuck.append(StuckInfo(c.stmt, "no applicable reduction"))
+        stuck.append(StuckInfo(oracle_symmetric_form(c.stmt),
+                               "no applicable reduction"))
     return results, stuck
 
 

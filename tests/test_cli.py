@@ -193,6 +193,35 @@ class TestGraphAndOutcomes:
         assert r.returncode == 0
         assert "stuck: unbound variable x" in r.stdout
 
+    @pytest.mark.parametrize("program,stdout", [
+        # Either block may redeclare `t` first; the full graph has a leaf
+        # stuck on each reason, and symmetry merges the two orders.
+        ("var Nat s := 0; begin var Nat t := 0; call f end "
+         "par begin var Nat t := 0; call f end",
+         "stuck: unbound procedure f\n"
+         "stuck: variable t already declared in this scope\n"
+         "complete: true\n"),
+        # One leaf with two stuck redexes: both are listed.
+        ("x := y par call f",
+         "stuck: unbound procedure f\n"
+         "stuck: unbound variable y\n"
+         "complete: true\n"),
+    ], ids=["two-leaves", "one-leaf"])
+    def test_every_stuck_redex_listed(self, tmp_program, program, stdout):
+        r = whilelang("outcomes", tmp_program(program))
+        assert (r.returncode, r.stdout, r.stderr) == (0, stdout, "")
+
+    def test_symmetric_threads_fit_the_default_budget(self, tmp_program):
+        # Three copies of one four-update thread: 161,795 states under
+        # partial-order reduction alone, 38,290 when the copies' order
+        # is ignored, inside the default --max-states of 50,000.
+        workloads = _load_perfbench("workloads")
+        r = whilelang("outcomes", tmp_program(
+            workloads.shared_program("x", 3, 4, 1)))
+        assert (r.returncode, r.stderr) == (0, "")
+        stores = [f"({{x={v}}})" for v in workloads.shared_finals(3, 4, 1)]
+        assert r.stdout == workloads.outcomes_text(stores)
+
 
 class TestUsageAndIOErrors:
     """Exit 5 with one line on stderr and no traceback."""
@@ -393,6 +422,17 @@ class TestDeterminism:
         assert r.returncode == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_truncated_outcomes_independent_of_hash_seed(self, tmp_program):
+        # Par sides are ordered by structure, never by hash or id, so a
+        # budget cuts reduced exploration at the same states in every run.
+        prog = tmp_program(_load_perfbench("workloads").shared_program(
+            "x", 3, 3, 1))
+        runs = [whilelang("outcomes", prog, "--max-states", "500",
+                          PYTHONHASHSEED=seed) for seed in ("0", "1")]
+        assert [r.returncode for r in runs] == [4, 4]
+        assert runs[0].stdout.endswith("complete: false\n")
+        assert runs[0].stdout == runs[1].stdout
+
     def test_identical_flags_identical_bytes(self, tmp_program, tmp_path):
         prog = tmp_program(
             "var Nat x := 0; { protect x := x + 1; x := x * 2 end } par x := 10")
@@ -403,16 +443,24 @@ class TestDeterminism:
         assert traces[0] == traces[1]
 
 
+def _load_perfbench(name):
+    """A module of the benchmark harness, which is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkBoundaries:
     def test_every_traced_boundary_resolves(self):
         # The traced benchmark run wraps each (module, attribute) that
         # perfbench/spans.py lists, looking the module up among those
         # `whilelang.cli` imported; a name deleted or renamed there stops
         # that run.
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_spans", ROOT / "perfbench" / "spans.py")
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = _load_perfbench("spans")
         import whilelang.cli  # noqa: F401
         for module, attribute, _ in spans.BOUNDARIES:
             assert module in sys.modules, module
@@ -505,3 +553,15 @@ class TestExitCodeContract:
         if code in (1, 2, 5):
             assert err.getvalue().count("\n") == 1
             assert err.getvalue().endswith("\n")
+
+    @pytest.mark.parametrize("command,stdout", [
+        ("parse", "var Nat x := " + " + ".join(["1"] * 600) + "\n"),
+        ("check", "ok: Cmd\n"),
+        ("run", "void ({x=600})\n"),
+    ], ids=["parse", "check", "run"])
+    def test_600_term_sum(self, tmp_program, command, stdout):
+        # The checker judges an operator's operands in one stack frame
+        # per level, as the parser, printer and stepper walk them.
+        r = whilelang(command, tmp_program(
+            "var Nat x := " + " + ".join(["1"] * 600)))
+        assert (r.returncode, r.stdout, r.stderr) == (0, stdout, "")
