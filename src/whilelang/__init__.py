@@ -20,8 +20,7 @@ from .syntax import (
     AExp, Add, And, BExp, Begin, BeginScope, Call, Decl, Empty, EndScope,
     Eq, EvalContext, Expr, ExprStmt, FalseLit, If, Le, Mul, NatLit, Not, Par,
     ProcDecl, Protect, Protected, Seq, Stmt, Sub, TrueLit, TypeName, Update,
-    ValStmt, Value, Var, VoidV, While, decompose, is_source_form, plug,
-    pretty, pretty_expr,
+    ValStmt, Value, Var, VoidV, While, decompose, plug, pretty, pretty_expr,
 )
 from .typesys import (
     Judgment, ProcTypeEnv, TypeCheckError, TypeEnv, check_program,

@@ -162,6 +162,8 @@ def parse_store(text: str) -> Env:
         rest = rest[close + 1:].lstrip()
         if rest.startswith(","):
             rest = rest[1:].lstrip()
+            if not rest:
+                raise ValueError("expected a frame after the last ','")
         elif rest:
             raise ValueError(f"expected ',' between frames at {_excerpt(rest)}")
     if not frames:

@@ -26,9 +26,11 @@ first. There are no error transitions.
 when only the leaves matter: it keeps a single step when that step is
 persistent (no interleaving of the other par sides can disable it or be
 affected by it), which preserves every terminal and stuck configuration
-reachable from `c` (Godefroid, LNCS 1032, 1996). The explorer also takes
-each state it reaches so in `symmetric_form`, merging states whose par sides
-differ only in order (Emerson & Sistla, FMSD 1996; Ip & Dill, FMSD 1996).
+reachable from `c` (Godefroid, LNCS 1032, 1996). Each axiom belongs to one
+redex class, so the redex's class says whether a step may be persistent.
+The explorer also takes each state it reaches so in `symmetric_form`,
+merging states whose par sides differ only in order (Emerson & Sistla,
+FMSD 1996; Ip & Dill, FMSD 1996).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .syntax import (
     EndScope, Eq, EvalContext, Expr, ExprStmt, FalseLit, If, Le, Mul, NatLit,
     Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub, TRUE,
     FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, OPERATORS,
-    BOOL_LITERALS, decompose, hole_class, plug_frame, protected_pred,
+    BOOL_LITERALS, HOLES, decompose, hole_class, plug_frame, protected_pred,
     symmetric_form,
 )
 
@@ -103,13 +105,16 @@ def _numeral(n: int) -> NatLit:
     return NatLit(n)
 
 
-# Each binary operator on numerals: its axiom and the literal it yields.
-_NAT_AXIOMS = {
-    Add: ("Expr-Add", lambda a, b: _numeral(a + b)),
-    Sub: ("Expr-Sub", lambda a, b: NatLit(max(0, a - b))),
-    Mul: ("Expr-Mul", lambda a, b: _numeral(a * b)),
-    Eq: ("Expr-Eq", lambda a, b: TRUE if a == b else FALSE),
-    Le: ("Expr-Le", lambda a, b: TRUE if a <= b else FALSE),
+# Each binary operator: its axiom and the literal it yields from two
+# operands of the literal classes that HOLES gives it.
+_BINARY_AXIOMS = {
+    Add: ("Expr-Add", lambda a, b: _numeral(a.n + b.n)),
+    Sub: ("Expr-Sub", lambda a, b: NatLit(max(0, a.n - b.n))),
+    Mul: ("Expr-Mul", lambda a, b: _numeral(a.n * b.n)),
+    Eq: ("Expr-Eq", lambda a, b: TRUE if a.n == b.n else FALSE),
+    Le: ("Expr-Le", lambda a, b: TRUE if a.n <= b.n else FALSE),
+    And: ("Expr-And", lambda a, b: TRUE if type(a) is type(b) is TrueLit
+          else FALSE),
 }
 
 
@@ -120,18 +125,13 @@ def contract_expr(store: Env, redex: Expr, hole: tuple[type, ...]) \
     cls = type(redex)
     if cls is Var:
         return "Expr-Var", _resolve_var(store, redex, hole)
-    nat = _NAT_AXIOMS.get(cls)
-    if nat is not None:
+    binary = _BINARY_AXIOMS.get(cls)
+    if binary is not None:
         left, right = redex.left, redex.right
-        if type(left) is NatLit and type(right) is NatLit:
-            axiom, op = nat
-            return axiom, op(left.n, right.n)
-        raise _StuckRedex(redex, "operand of wrong shape")
-    if cls is And:
-        left, right = type(redex.left), type(redex.right)
-        if left in BOOL_LITERALS and right in BOOL_LITERALS:
-            both = left is TrueLit and right is TrueLit
-            return "Expr-And", TRUE if both else FALSE
+        operands = HOLES[cls]
+        if type(left) in operands and type(right) in operands:
+            axiom, op = binary
+            return axiom, op(left, right)
         raise _StuckRedex(redex, "operand of wrong shape")
     if cls is Not:
         operand = type(redex.operand)
@@ -235,25 +235,16 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
             if type(current) is ValStmt and type(current.value) is VoidV:
                 components.append("Seq2")
                 current = node.second
-            else:
-                components.append("Seq1")
-                current = Seq(current, node.second)
+                continue
+            components.append("Seq1")
         elif cls is Par:
-            if field == "left":
-                if type(current) is ValStmt:
-                    components.append("Par2")
-                    current = node.right
-                else:
-                    components.append("Par1")
-                    current = Par(current, node.right)
-            elif type(current) is ValStmt:
-                components.append("Par4")
-                current = node.left
-            else:
-                components.append("Par3")
-                current = Par(node.left, current)
-        else:
-            current = plug_frame(node, field, current)
+            left = field == "left"
+            if type(current) is ValStmt:
+                components.append("Par2" if left else "Par4")
+                current = node.right if left else node.left
+                continue
+            components.append("Par1" if left else "Par3")
+        current = plug_frame(node, field, current)
     components.reverse()
     components.append(axiom)
     return "/".join(components), current
@@ -262,12 +253,9 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
 # ---------------------------------------------------------------------------
 # Persistent steps
 
-# Axioms that touch neither the stores nor an atomic region.
-_PURE_AXIOMS = frozenset({
-    "Expr-Add", "Expr-Sub", "Expr-Mul", "Expr-Eq", "Expr-Le", "Expr-And",
-    "Expr-Not", "Expr-Val", "Seq-discharge", "If-True", "If-False", "While",
-    "Begin", "Empty",
-})
+# Redexes whose axioms touch neither the stores nor an atomic region.
+_PURE_REDEXES = frozenset({*OPERATORS, Not, ExprStmt, Seq, If, While, Begin,
+                           Empty})
 
 # Statements that may block another par side (an atomic region), run code
 # not visible in the term (a call), or change how names resolve.
@@ -314,22 +302,23 @@ def _interferes(s: Stmt, name: str | None) -> bool:
     return False
 
 
-def _persistent(ctx: EvalContext, redex: Redex, axiom: str,
-                contractum: Redex) -> bool:
+def _persistent(ctx: EvalContext, redex: Redex, contractum: Redex) -> bool:
     """Whether a step that contracted `redex` under `ctx` commutes with,
     and can neither disable nor be disabled by, every step the other par
     sides on its path could take.
 
     A pure step qualifies, and so does a read or update of a name that no
-    other side mentions. No other side may hold an interfering statement.
+    other side mentions; the redex's class tells which it is. No other
+    side may hold an interfering statement.
     The step must also not bring an atomic region to the head of its own
     side, which would block the others: only runtime-built terms hold a
     `protected` off the head of a sequence or in a branch.
     """
-    if axiom in _PURE_AXIOMS:
-        name = None
-    elif axiom in ("Expr-Var", "Update"):
+    cls = type(redex)
+    if cls is Update or cls is Var:
         name = redex.name
+    elif cls in _PURE_REDEXES:
+        name = None
     else:
         return False
     if protected_pred(contractum):
@@ -363,7 +352,7 @@ def _step_and_diagnose(c: Configuration, reduce: bool = False) \
             stuck.append(failure.info)
             continue
         step = (ctx, contractum, axiom, store2, procs2)
-        if reduce and _persistent(ctx, redex, axiom, contractum):
+        if reduce and _persistent(ctx, redex, contractum):
             contracted = [step]
             break
         contracted.append(step)

@@ -240,26 +240,6 @@ Stmt = Union[
 
 VOID_STMT = ValStmt(VoidV())
 
-_RUNTIME_ONLY = (Protected, BeginScope, EndScope, ExprStmt, ValStmt, Empty)
-
-
-def is_source_form(s: Stmt) -> bool:
-    """True iff no runtime-only constructor occurs anywhere in the statement."""
-    match s:
-        case Seq(a, b) | Par(a, b):
-            return is_source_form(a) and is_source_form(b)
-        case If(_, a, b):
-            return is_source_form(a) and is_source_form(b)
-        case While(_, body) | Protect(body) | ProcDecl(_, body):
-            return is_source_form(body)
-        case Begin(_, procs, body):
-            return all(is_source_form(p.body) for p in procs) and is_source_form(body)
-        case Decl() | Update() | Call():
-            return True
-        case _ if isinstance(s, _RUNTIME_ONLY):
-            return False
-    raise TypeError(f"not a statement: {s!r}")
-
 
 # ---------------------------------------------------------------------------
 # Atomic-region predicate
@@ -300,10 +280,10 @@ def symmetric_form(s: Stmt) -> Stmt:
             return s
         first = symmetric_form(first)
         return s if first is s.first else Seq(first, s.second)
-    if cls is Protected:
-        body = symmetric_form(s.body)
-        return s if body is s.body else Protected(body)
     if cls is not Par:
+        if cls is Protected:
+            body = symmetric_form(s.body)
+            return s if body is s.body else Protected(body)
         return s
     # The sides, left to right; `s` is kept when it already is the
     # representative: nested to the left, each side kept, sides in order.
@@ -558,16 +538,16 @@ EvalContext = tuple[tuple[Redex, str], ...]
 
 # The per-node functions here and in semantics dispatch on the exact class;
 # each chain tests the classes in the order of their visit counts over the
-# benchmark workloads, most visited first (recorded in BENCH_10.json).
+# benchmark workloads, most visited first (see `visits` in BENCH_13.json).
 _STMT_REDEXES = frozenset({While, Begin, Call, Protect, ProcDecl, BeginScope,
                            EndScope, Empty})
 
 
 # The literals that may fill an operand of each class: those of the operand
 # type in OPERATORS, and booleans under `not` or in a condition.
-_HOLES = {cls: (NatLit,) if row[4] is TypeName.NAT else BOOL_LITERALS
-          for cls, row in OPERATORS.items()}
-_HOLES[Not] = _HOLES[If] = BOOL_LITERALS
+HOLES = {cls: (NatLit,) if row[4] is TypeName.NAT else BOOL_LITERALS
+         for cls, row in OPERATORS.items()}
+HOLES[Not] = HOLES[If] = BOOL_LITERALS
 _ANY_LITERAL = (NatLit, TrueLit, FalseLit)
 
 
@@ -576,7 +556,7 @@ def hole_class(ctx: EvalContext) -> tuple[type, ...]:
     expression position: numerals under an arithmetic operator or a
     comparison, booleans under `and`, `not` or a condition, any literal
     elsewhere. `void` fills no expression hole."""
-    return _HOLES.get(type(ctx[-1][0]), _ANY_LITERAL)
+    return HOLES.get(type(ctx[-1][0]), _ANY_LITERAL)
 
 
 def decompose(s: Stmt) -> list[tuple[EvalContext, Redex]]:
@@ -693,8 +673,12 @@ def plug(ctx: EvalContext, filled: Redex) -> Stmt:
 
 def plug_frame(node: Redex, field: str, filled: Redex) -> Redex:
     cls = type(node)
+    if cls is Seq:
+        return Seq(filled, node.second)
     if cls is Update:
         return Update(node.name, filled)
+    if cls is Par:
+        return Par(filled, node.right) if field == "left" else Par(node.left, filled)
     if cls in OPERATORS:
         if field == "left":
             return cls(filled, node.right)
@@ -705,10 +689,6 @@ def plug_frame(node: Redex, field: str, filled: Redex) -> Redex:
         return Decl(node.type_name, node.name, filled)
     if cls is Protected:
         return Protected(filled)
-    if cls is Seq:
-        return Seq(filled, node.second)
-    if cls is Par:
-        return Par(filled, node.right) if field == "left" else Par(node.left, filled)
     if cls is Not:
         return Not(filled)
     if cls is ExprStmt:

@@ -3,15 +3,16 @@
 Variables live in an ordered environment where the most recent binding of a
 name wins and duplicates are kept; procedures map to the environment of
 bindings their bodies introduce. Expression judgments leave the
-environments untouched; statement judgments thread them left to right and
-may append bindings:
+environments untouched and have type Nat or Bool; statement judgments
+have type Cmd, thread the environments left to right and may append
+bindings:
 
     T-Assign   G D |- e : t          =>  G D |- var t x := e : Cmd -| G+{x:t} D
     T-Update   G D |- e : G(x)       =>  G D |- x := e : Cmd -| G D
     T-Seq      thread G and D through S1 then S2
-    T-If       both branches from the same inputs, same result type;
+    T-If       both branches from the same inputs;
                output G = input + additions of both branches
-    T-While    body must return Cmd and leave both environments fixed
+    T-While    body must leave both environments fixed
     T-Begin    check sections then body with threading; outputs reset
                to the inputs, block bindings stay local
     T-Proc     D gains p -> (bindings the body added); G unchanged
@@ -19,7 +20,8 @@ may append bindings:
     T-Par      like T-If without a condition; T-Protect passes through
 
 A failed check raises TypeCheckError rendered as
-"error[RULE] at <subterm>: <cause>".
+"error[RULE] at <subterm>: <cause>". A runtime-only form has no rule and
+is rejected where the checker meets it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from .syntax import (
     EXPR_CLASSES, Add, And, Begin, Call, Decl, Empty, Eq, Expr, FalseLit, If,
     Le, Mul, NatLit, Not, OPERATORS, Par, Printer, ProcDecl, Protect, Redex,
-    Seq, Stmt, Sub, TrueLit, TypeName, Update, Var, While, is_source_form,
-    pretty, pretty_expr,
+    Seq, Stmt, Sub, TrueLit, TypeName, Update, Var, While, pretty,
+    pretty_expr,
 )
 
 
@@ -189,7 +191,7 @@ def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
         case Seq(first, second):
             j1 = type_of_stmt(gamma, delta, first)
             j2 = type_of_stmt(j1.gamma_out, j1.delta_out, second)
-            return Judgment("T-Seq", gamma, delta, s, j2.type,
+            return Judgment("T-Seq", gamma, delta, s, TypeName.CMD,
                             j2.gamma_out, j2.delta_out, (j1, j2))
         case If(cond, then_branch, else_branch):
             jc = type_of_expr(gamma, delta, cond)
@@ -197,20 +199,13 @@ def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
                 raise _mismatch("T-If", s, TypeName.BOOL, jc.type)
             j1 = type_of_stmt(gamma, delta, then_branch)
             j2 = type_of_stmt(gamma, delta, else_branch)
-            if j1.type is not j2.type:
-                raise TypeCheckError(
-                    "T-If", s, f"branches disagree: {j1.type} vs {j2.type}")
-            gamma_out = env_union(env_union(gamma, env_diff(j1.gamma_out, gamma)),
-                                  env_diff(j2.gamma_out, gamma))
-            return Judgment("T-If", gamma, delta, s, j1.type,
-                            gamma_out, delta, (jc, j1, j2))
+            return Judgment("T-If", gamma, delta, s, TypeName.CMD,
+                            _join(gamma, j1, j2), delta, (jc, j1, j2))
         case While(cond, body):
             jc = type_of_expr(gamma, delta, cond)
             if jc.type is not TypeName.BOOL:
                 raise _mismatch("T-While", s, TypeName.BOOL, jc.type)
             jb = type_of_stmt(gamma, delta, body)
-            if jb.type is not TypeName.CMD:
-                raise _mismatch("T-While", s, TypeName.CMD, jb.type)
             if jb.gamma_out != gamma or jb.delta_out != delta:
                 raise TypeCheckError("T-While", s,
                                      "loop body modifies environment")
@@ -228,14 +223,10 @@ def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
                     g, d = j.gamma_out, j.delta_out
             jb = type_of_stmt(g, d, body)
             children.append(jb)
-            if jb.type is not TypeName.CMD:
-                raise _mismatch("T-Begin", s, TypeName.CMD, jb.type)
             return Judgment("T-Begin", gamma, delta, s, TypeName.CMD,
                             gamma, delta, tuple(children))
         case ProcDecl(name, body):
             jb = type_of_stmt(gamma, delta, body)
-            if jb.type is not TypeName.CMD:
-                raise _mismatch("T-Proc", s, TypeName.CMD, jb.type)
             added = env_diff(jb.gamma_out, gamma)
             return Judgment("T-Proc", gamma, delta, s, TypeName.CMD,
                             gamma, delta.bind(name, added), (jb,))
@@ -248,18 +239,21 @@ def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
         case Par(left, right):
             j1 = type_of_stmt(gamma, delta, left)
             j2 = type_of_stmt(gamma, delta, right)
-            gamma_out = env_union(env_union(gamma, env_diff(j1.gamma_out, gamma)),
-                                  env_diff(j2.gamma_out, gamma))
             return Judgment("T-Par", gamma, delta, s, TypeName.CMD,
-                            gamma_out, delta, (j1, j2))
+                            _join(gamma, j1, j2), delta, (j1, j2))
         case Protect(body):
             jb = type_of_stmt(gamma, delta, body)
             return Judgment("T-Protect", gamma, delta, s, TypeName.CMD,
                             jb.gamma_out, jb.delta_out, (jb,))
-        case Empty():
-            return _empty_judgment(gamma, delta)
         case _:
             raise TypeCheckError("check", s, "runtime-only construct")
+
+
+def _join(gamma: TypeEnv, j1: Judgment, j2: Judgment) -> TypeEnv:
+    """The output environment of T-If's branches or T-Par's sides, judged
+    from `gamma`: `gamma`, then what `j1` added, then what `j2` added."""
+    return env_union(env_union(gamma, env_diff(j1.gamma_out, gamma)),
+                     env_diff(j2.gamma_out, gamma))
 
 
 def _empty_judgment(gamma: TypeEnv, delta: ProcTypeEnv) -> Judgment:
@@ -269,9 +263,8 @@ def _empty_judgment(gamma: TypeEnv, delta: ProcTypeEnv) -> Judgment:
 
 def check_program(s: Stmt) -> Judgment:
     """Check a source program from empty environments, recording the full
-    derivation. Runtime-only constructs are rejected before checking."""
-    if not is_source_form(s):
-        raise TypeCheckError("check", s, "runtime-only construct")
+    derivation. A runtime-only construct is rejected where the checker
+    meets it, so an error earlier in the term is reported first."""
     return type_of_stmt(TypeEnv(), ProcTypeEnv(), s)
 
 

@@ -192,6 +192,8 @@ class TestRendering:
         # names no program can mention
         "({x y=2, x=0})", "({1=2, x=0})", "({while=3, x=0})", "({é=1})",
         "({_a=1})",
+        # a comma after the last frame or binding
+        "({x=1},)", "({x=1}, )", "({x=1, })",
         # more digits than Python's default int/str conversion limit
         pytest.param("({a=" + "9" * 4301 + "})", id="numeral-of-4301-digits"),
     ])

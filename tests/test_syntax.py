@@ -21,7 +21,7 @@ from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, Eq, ExprStmt, FalseLit,
     If, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected, Seq, Sub,
     Printer, TrueLit, TypeName, Update, ValStmt, Var, VoidV, While, decompose,
-    is_source_form, plug, pretty, pretty_expr,
+    plug, pretty, pretty_expr,
 )
 
 NAT = TypeName.NAT
@@ -403,20 +403,6 @@ class TestFlattening:
                     walk(child)
 
         walk(reparsed)
-
-
-class TestSourceForm:
-    def test_examples(self):
-        assert is_source_form(Seq(Decl(NAT, "x", NatLit(1)),
-                                  Update("x", NatLit(2))))
-        assert not is_source_form(BeginScope())
-        assert not is_source_form(Protected(ValStmt(VoidV())))
-        assert not is_source_form(Seq(Update("x", NatLit(1)), Empty()))
-
-    @settings(max_examples=200)
-    @given(source_stmts)
-    def test_generated_source_is_source(self, stmt):
-        assert is_source_form(stmt)
 
 
 class TestDecompose:

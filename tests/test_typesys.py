@@ -11,8 +11,9 @@ from strategies import PROC_POOL, exprs, parfree_source_stmts, source_stmts
 
 from whilelang.parser import parse_program
 from whilelang.syntax import (
-    Add, BeginScope, Decl, Empty, NatLit, Protected, TrueLit, TypeName,
-    ValStmt, Var, VoidV, pretty,
+    EXPR_CLASSES, Add, Begin, BeginScope, Call, Decl, Empty, EndScope,
+    ExprStmt, NatLit, Par, ProcDecl, Protect, Protected, Seq, TrueLit,
+    TypeName, ValStmt, Var, VoidV, pretty,
 )
 from whilelang.typesys import (
     Judgment, PrefixError, ProcTypeEnv, TypeCheckError, TypeEnv,
@@ -208,10 +209,27 @@ class TestStatementTyping:
         assert str(info.value) == "error[T-Call] at call q: unbound procedure"
 
     def test_runtime_only_rejected(self):
-        for bad in (ValStmt(VoidV()), BeginScope(),
-                    Protected(ValStmt(VoidV())), Empty()):
-            with pytest.raises(TypeCheckError, match="runtime-only construct"):
-                check_program(bad)
+        decl = Decl(NAT, "x", NatLit(1))
+        places = (
+            lambda rt: rt,
+            lambda rt: Seq(decl, rt),
+            lambda rt: Par(decl, rt),
+            lambda rt: Protect(Seq(decl, rt)),
+            lambda rt: Begin((), (ProcDecl("p", rt),), Call("p")),
+            lambda rt: Begin((decl,), (), rt),
+        )
+        for rt in (ValStmt(VoidV()), BeginScope(), EndScope(),
+                   ExprStmt(NatLit(1)), Protected(ValStmt(VoidV())), Empty()):
+            for place in places:
+                with pytest.raises(TypeCheckError) as info:
+                    check_program(place(rt))
+                assert info.value.location is rt
+                assert str(info.value) == \
+                    f"error[check] at {pretty(rt)}: runtime-only construct"
+        # T-Empty judges only an empty block section, never a statement.
+        with pytest.raises(TypeCheckError) as info:
+            type_of_stmt(TypeEnv(), ProcTypeEnv(), Empty())
+        assert str(info.value) == "error[check] at ε: runtime-only construct"
 
     def test_par_and_protect(self):
         j = check_program(parse_program(
@@ -283,6 +301,9 @@ class TestCheckerProperties:
     def test_gamma_grows_monotonically(self, stmt):
         for j in derivations(stmt):
             for node in all_judgments(j):
+                # Statements have type Cmd, expressions Nat or Bool.
+                assert node.type in ((NAT, BOOL) if isinstance(
+                    node.subject, EXPR_CLASSES) else (CMD,))
                 if node.rule in ("T-Begin", "T-Empty"):
                     assert node.gamma_out == node.gamma_in
                 else:
