@@ -12,12 +12,12 @@ level is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .parser import is_identifier
 from .syntax import (
-    FALSE, MAX_NUMERAL_DIGITS, TRUE, NatLit, Value, VoidV, pretty, value_text,
+    FALSE, MAX_NUMERAL_DIGITS, TRUE, NatLit, Value, VoidV, pretty, record,
+    value_text,
 )
 
 
@@ -37,7 +37,7 @@ class ScopeError(EnvError):
     """Attempt to pop the global scope; indicates a bug in the semantics."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Frame:
     entries: tuple[tuple[str, object], ...] = ()
 
@@ -64,7 +64,7 @@ class Frame:
                             for k, v in self.entries]))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Env:
     frames: tuple[Frame, ...] = (Frame(),)
 

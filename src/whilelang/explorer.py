@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Union
 
 from .env import render_procs, render_store
@@ -26,8 +26,8 @@ from .semantics import (
     successors,
 )
 from .syntax import (
-    EXPR_CLASSES, Printer, Redex, Value, pretty, pretty_expr, symmetric_form,
-    value_text,
+    EXPR_CLASSES, Printer, Redex, Value, pretty, pretty_expr, record,
+    symmetric_form, value_text,
 )
 
 DEFAULT_MAX_STEPS = 10_000
@@ -35,19 +35,19 @@ DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class Terminated:
     value: Value
     kind = "terminated"
 
 
-@dataclass(frozen=True)
+@record
 class Stuck:
     info: StuckInfo
     kind = "stuck"
 
 
-@dataclass(frozen=True)
+@record
 class BudgetExceeded:
     kind = "budget_exceeded"
 
@@ -55,7 +55,7 @@ class BudgetExceeded:
 Status = Union[Terminated, Stuck, BudgetExceeded]
 
 
-@dataclass(frozen=True)
+@record
 class Trace:
     origin: Configuration
     steps: tuple[tuple[str, Configuration], ...]
@@ -94,7 +94,7 @@ def run(c0: Configuration, schedule: str = "first", seed: int = 0,
         current = chosen.next
 
 
-@dataclass(frozen=True)
+@record
 class ReductionGraph:
     nodes: tuple[Configuration, ...]
     edges: tuple[tuple[int, str, int], ...]
@@ -165,7 +165,7 @@ def _symmetric(c: Configuration) -> Configuration:
     return c if stmt is c.stmt else Configuration(c.store, c.procs, stmt)
 
 
-@dataclass(frozen=True)
+@record
 class OutcomeSet:
     terminals: frozenset[tuple[Value, str]]
     stuck: frozenset[StuckInfo]
@@ -247,23 +247,25 @@ def to_json_trace(t: Trace) -> str:
     Consecutive configurations share most of their nodes, so the statements
     are printed in order through one `Printer`, which prints a shared
     subterm once, and a store or procedure store that is the same object as
-    the step before's is not rendered again. The text is the same as
-    `pretty`, `render_store` and `render_procs` of each step give."""
+    the step before's is not rendered or encoded again. Each step line is
+    filled in from those JSON strings; it is byte for byte the line that
+    `json.dumps` of the step's dict, with `pretty`, `render_store` and
+    `render_procs` of the step, gives."""
     printer = Printer()
     store = procs = None
+    rules: dict[str, str] = {}
     lines = []
     for n, (rule, conf) in enumerate(t.steps, start=1):
         if conf.store is not store:
-            store, store_text = conf.store, render_store(conf.store)
+            store, store_json = conf.store, _json_str(render_store(conf.store))
         if conf.procs is not procs:
-            procs, procs_text = conf.procs, render_procs(conf.procs)
-        lines.append(json.dumps({
-            "step": n,
-            "rule": rule,
-            "stmt": printer.stmt(conf.stmt),
-            "store": store_text,
-            "procs": procs_text,
-        }))
+            procs, procs_json = conf.procs, _json_str(render_procs(conf.procs))
+        rule_json = rules.get(rule)
+        if rule_json is None:
+            rule_json = rules[rule] = _json_str(rule)
+        lines.append(f'{{"step": {n}, "rule": {rule_json}, '
+                     f'"stmt": {_json_str(printer.stmt(conf.stmt))}, '
+                     f'"store": {store_json}, "procs": {procs_json}}}')
         printer.advance()
     lines.append(json.dumps(_status_line(t)))
     return "\n".join(lines) + "\n"

@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .syntax import (
-    MAX_NUMERAL_DIGITS, NOT_LEVEL, OPERATORS, Begin, Call, Decl, Expr,
-    FalseLit, If, NatLit, Not, Par, ProcDecl, Protect, Seq, Stmt, TrueLit,
-    TypeName, Update, Var, While,
+    BOOL, MAX_NUMERAL_DIGITS, NAT, NOT_LEVEL, OPERATORS, Begin, Call, Decl,
+    Expr, FalseLit, If, NatLit, Not, Par, ProcDecl, Protect, Seq, Stmt,
+    TrueLit, TypeName, Update, Var, While,
 )
 
 RUNTIME_KEYWORDS = {"beginscope", "endscope", "protected"}
@@ -142,8 +142,7 @@ def tokenize(source: str) -> list[Token]:
 _BY_SYMBOL = {row[0]: cls for cls, row in OPERATORS.items()}
 # The sort an expression's root gives it; a variable has none of its own.
 _SORTS = {cls: row[5] for cls, row in OPERATORS.items()} | {
-    NatLit: TypeName.NAT, TrueLit: TypeName.BOOL, FalseLit: TypeName.BOOL,
-    Not: TypeName.BOOL}
+    NatLit: NAT, TrueLit: BOOL, FalseLit: BOOL, Not: BOOL}
 
 
 @dataclass
@@ -215,14 +214,14 @@ class _Parser:
                     return self.parse_decl()
                 case "if":
                     self.advance()
-                    cond = self.parse_expr(TypeName.BOOL)
+                    cond = self.parse_expr(BOOL)
                     self.expect("keyword", "then")
                     then_branch = self.parse_simple()
                     self.expect("keyword", "else")
                     return If(cond, then_branch, self.parse_simple())
                 case "while":
                     self.advance()
-                    cond = self.parse_expr(TypeName.BOOL)
+                    cond = self.parse_expr(BOOL)
                     self.expect("keyword", "do")
                     return While(cond, self.parse_simple())
                 case "begin":
@@ -348,7 +347,7 @@ class _Parser:
         if own is not sort:
             tok = self.positions[id(e)][1]
             message = ("arithmetic expression in boolean position"
-                       if sort is TypeName.BOOL
+                       if sort is BOOL
                        else "boolean expression in arithmetic position")
             raise ParseError(message, tok.line, tok.column)
         row = OPERATORS.get(type(e))
@@ -356,7 +355,7 @@ class _Parser:
             self.check_sort(e.left, row[4])
             self.check_sort(e.right, row[4])
         elif type(e) is Not:
-            self.check_sort(e.operand, TypeName.BOOL)
+            self.check_sort(e.operand, BOOL)
 
 
 def parse_program(text: str) -> Stmt:

@@ -35,8 +35,6 @@ FMSD 1996; Ip & Dill, FMSD 1996).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import env as envmod
 from .env import Env, RedeclError, ScopeError, UnboundError
 from .syntax import (
@@ -45,27 +43,27 @@ from .syntax import (
     Not, Par, ProcDecl, Protect, Protected, Redex, Seq, Stmt, Sub, TRUE,
     FALSE, TrueLit, Update, ValStmt, Var, VOID_STMT, VoidV, While, OPERATORS,
     BOOL_LITERALS, HOLES, decompose, hole_class, plug_frame, protected_pred,
-    symmetric_form,
+    record, symmetric_form,
 )
 
 _EXPR_REDEXES = (Var, *OPERATORS, Not)
 _NUMERAL_LIMIT = 10 ** MAX_NUMERAL_DIGITS
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Configuration:
     store: Env
     procs: Env
     stmt: Stmt
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepResult:
     rule: str
     next: Configuration
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StuckInfo:
     at: Redex
     reason: str

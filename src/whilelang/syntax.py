@@ -16,12 +16,19 @@ are expression nodes themselves, and `void` for a finished statement.
 The module also defines evaluation contexts over statements, as paths of
 (node, field) frames, and the `decompose`/`plug` pair that drives the
 one-step reduction relation.
+
+Every record of the package is declared with `record`: the nodes here,
+the stores, configurations and steps, the typing judgments and
+environments, and the traces, graphs and outcome sets. A record is a
+frozen, slotted dataclass with no slot beyond its fields, whose
+`__init__` stores each field through its slot's descriptor; equality,
+hashing, `repr` and `match` are the dataclass's own.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cmp_to_key
 from typing import Union, get_args
 
@@ -35,13 +42,38 @@ class TypeName(enum.Enum):
         return self.value
 
 
+# Read as module names: a module-level read costs a tenth of a class
+# attribute's.
+NAT, BOOL, CMD = TypeName.NAT, TypeName.BOOL, TypeName.CMD
+
+
+def record(cls: type) -> type:
+    """Declare `cls` a record (see above). The stock frozen `__init__`
+    stores each field through `object.__setattr__`, which costs more than
+    half again as much; parameters, their order and defaults are the same."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    params, body, namespace = ["self"], [], {}
+    for f in fields(cls):
+        name = f.name
+        params.append(name if f.default is MISSING
+                      else f"{name}=_default_{name}")
+        namespace[f"_default_{name}"] = f.default
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        body.append(f"_set_{name}(self, {name})")
+    exec(f"def __init__({', '.join(params)}):\n    "
+         + ("\n    ".join(body) or "pass"), namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 #
 # `Var` belongs to both expression classes; which literals may fill a
 # variable occurrence is decided by the hole it sits in (see hole_class).
 
-@dataclass(frozen=True, slots=True)
+@record
 class NatLit:
     n: int
 
@@ -51,58 +83,58 @@ class NatLit:
 MAX_NUMERAL_DIGITS = 4300
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Add:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sub:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Mul:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TrueLit:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FalseLit:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Eq:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Le:
     left: "AExp"
     right: "AExp"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class And:
     left: "BExp"
     right: "BExp"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Not:
     operand: "BExp"
 
@@ -125,7 +157,7 @@ BOOL_LITERALS = (TrueLit, FalseLit)
 # Values: the literals above, and `void` for a finished statement. A store
 # binds names to values, and `ValStmt` holds one in statement position.
 
-@dataclass(frozen=True, slots=True)
+@record
 class VoidV:
     pass
 
@@ -140,95 +172,95 @@ def value_text(v: Value) -> str:
 # ---------------------------------------------------------------------------
 # Statements
 
-@dataclass(frozen=True, slots=True)
+@record
 class Seq:
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class If:
     cond: BExp
     then_branch: "Stmt"
     else_branch: "Stmt"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class While:
     cond: BExp
     body: "Stmt"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Decl:
     type_name: TypeName
     name: str
     rhs: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Update:
     name: str
     rhs: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ProcDecl:
     name: str
     body: "Stmt"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Begin:
     decls: tuple[Decl, ...]
     procs: tuple[ProcDecl, ...]
     body: "Stmt"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Call:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Par:
     left: "Stmt"
     right: "Stmt"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Protect:
     body: "Stmt"
 
 
 # Runtime-only statements.
 
-@dataclass(frozen=True, slots=True)
+@record
 class Protected:
     body: "Stmt"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BeginScope:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EndScope:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExprStmt:
     expr: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ValStmt:
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Empty:
     pass
 
@@ -490,12 +522,12 @@ class Printer:
 # right-associative, `+`, `-` and `*` left-associative, `=` and `<=`
 # non-associative.
 OPERATORS = {
-    And: ("and", 0, 1, 0, TypeName.BOOL, TypeName.BOOL),
-    Eq: ("=", 1, 2, 2, TypeName.NAT, TypeName.BOOL),
-    Le: ("<=", 1, 2, 2, TypeName.NAT, TypeName.BOOL),
-    Add: ("+", 2, 2, 3, TypeName.NAT, TypeName.NAT),
-    Sub: ("-", 2, 2, 3, TypeName.NAT, TypeName.NAT),
-    Mul: ("*", 3, 3, 4, TypeName.NAT, TypeName.NAT),
+    And: ("and", 0, 1, 0, BOOL, BOOL),
+    Eq: ("=", 1, 2, 2, NAT, BOOL),
+    Le: ("<=", 1, 2, 2, NAT, BOOL),
+    Add: ("+", 2, 2, 3, NAT, NAT),
+    Sub: ("-", 2, 2, 3, NAT, NAT),
+    Mul: ("*", 3, 3, 4, NAT, NAT),
 }
 NOT_LEVEL = 4
 
@@ -545,7 +577,7 @@ _STMT_REDEXES = frozenset({While, Begin, Call, Protect, ProcDecl, BeginScope,
 
 # The literals that may fill an operand of each class: those of the operand
 # type in OPERATORS, and booleans under `not` or in a condition.
-HOLES = {cls: (NatLit,) if row[4] is TypeName.NAT else BOOL_LITERALS
+HOLES = {cls: (NatLit,) if row[4] is NAT else BOOL_LITERALS
          for cls, row in OPERATORS.items()}
 HOLES[Not] = HOLES[If] = BOOL_LITERALS
 _ANY_LITERAL = (NatLit, TrueLit, FalseLit)

@@ -26,17 +26,15 @@ is rejected where the checker meets it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
-    EXPR_CLASSES, Add, And, Begin, Call, Decl, Empty, Eq, Expr, FalseLit, If,
-    Le, Mul, NatLit, Not, OPERATORS, Par, Printer, ProcDecl, Protect, Redex,
-    Seq, Stmt, Sub, TrueLit, TypeName, Update, Var, While, pretty,
-    pretty_expr,
+    BOOL, CMD, EXPR_CLASSES, NAT, Add, And, Begin, Call, Decl, Empty, Eq,
+    Expr, FalseLit, If, Le, Mul, NatLit, Not, OPERATORS, Par, Printer,
+    ProcDecl, Protect, Redex, Seq, Stmt, Sub, TrueLit, TypeName, Update, Var,
+    While, pretty, pretty_expr, record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class TypeEnv:
     bindings: tuple[tuple[str, TypeName], ...] = ()
 
@@ -56,7 +54,7 @@ class TypeEnv:
         return "{" + ", ".join(f"{k}={t.value}" for k, t in self.bindings) + "}"
 
 
-@dataclass(frozen=True)
+@record
 class ProcTypeEnv:
     entries: tuple[tuple[str, TypeEnv], ...] = ()
 
@@ -93,7 +91,7 @@ def env_diff(g_after: TypeEnv, g_before: TypeEnv) -> TypeEnv:
     return TypeEnv(g_after.bindings[len(g_before.bindings):])
 
 
-@dataclass(frozen=True)
+@record
 class Judgment:
     rule: str
     gamma_in: TypeEnv
@@ -143,11 +141,11 @@ def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
 
     match e:
         case NatLit(_):
-            return axiom("T-Nat", TypeName.NAT)
+            return axiom("T-Nat", NAT)
         case TrueLit():
-            return axiom("T-True", TypeName.BOOL)
+            return axiom("T-True", BOOL)
         case FalseLit():
-            return axiom("T-False", TypeName.BOOL)
+            return axiom("T-False", BOOL)
         case Var(name):
             t = gamma.lookup(name)
             if t is None:
@@ -155,9 +153,9 @@ def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
             return axiom("T-Var", t)
         case Not(b):
             j = type_of_expr(gamma, delta, b)
-            if j.type is not TypeName.BOOL:
-                raise _mismatch("T-Not", e, TypeName.BOOL, j.type)
-            return axiom("T-Not", TypeName.BOOL, (j,))
+            if j.type is not BOOL:
+                raise _mismatch("T-Not", e, BOOL, j.type)
+            return axiom("T-Not", BOOL, (j,))
         case _ if type(e) in OPERATORS:
             rule = _BINARY_RULES[type(e)]
             *_, want, t = OPERATORS[type(e)]
@@ -177,7 +175,7 @@ def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
             j = type_of_expr(gamma, delta, rhs)
             if j.type is not t:
                 raise _mismatch("T-Assign", s, t, j.type)
-            return Judgment("T-Assign", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-Assign", gamma, delta, s, CMD,
                             gamma.extend(name, t), delta, (j,))
         case Update(name, rhs):
             bound = gamma.lookup(name)
@@ -186,30 +184,30 @@ def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
             j = type_of_expr(gamma, delta, rhs)
             if j.type is not bound:
                 raise _mismatch("T-Update", s, bound, j.type)
-            return Judgment("T-Update", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-Update", gamma, delta, s, CMD,
                             gamma, delta, (j,))
         case Seq(first, second):
             j1 = type_of_stmt(gamma, delta, first)
             j2 = type_of_stmt(j1.gamma_out, j1.delta_out, second)
-            return Judgment("T-Seq", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-Seq", gamma, delta, s, CMD,
                             j2.gamma_out, j2.delta_out, (j1, j2))
         case If(cond, then_branch, else_branch):
             jc = type_of_expr(gamma, delta, cond)
-            if jc.type is not TypeName.BOOL:
-                raise _mismatch("T-If", s, TypeName.BOOL, jc.type)
+            if jc.type is not BOOL:
+                raise _mismatch("T-If", s, BOOL, jc.type)
             j1 = type_of_stmt(gamma, delta, then_branch)
             j2 = type_of_stmt(gamma, delta, else_branch)
-            return Judgment("T-If", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-If", gamma, delta, s, CMD,
                             _join(gamma, j1, j2), delta, (jc, j1, j2))
         case While(cond, body):
             jc = type_of_expr(gamma, delta, cond)
-            if jc.type is not TypeName.BOOL:
-                raise _mismatch("T-While", s, TypeName.BOOL, jc.type)
+            if jc.type is not BOOL:
+                raise _mismatch("T-While", s, BOOL, jc.type)
             jb = type_of_stmt(gamma, delta, body)
             if jb.gamma_out != gamma or jb.delta_out != delta:
                 raise TypeCheckError("T-While", s,
                                      "loop body modifies environment")
-            return Judgment("T-While", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-While", gamma, delta, s, CMD,
                             gamma, delta, (jc, jb))
         case Begin(decls, procs, body):
             children = []
@@ -223,27 +221,27 @@ def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
                     g, d = j.gamma_out, j.delta_out
             jb = type_of_stmt(g, d, body)
             children.append(jb)
-            return Judgment("T-Begin", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-Begin", gamma, delta, s, CMD,
                             gamma, delta, tuple(children))
         case ProcDecl(name, body):
             jb = type_of_stmt(gamma, delta, body)
             added = env_diff(jb.gamma_out, gamma)
-            return Judgment("T-Proc", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-Proc", gamma, delta, s, CMD,
                             gamma, delta.bind(name, added), (jb,))
         case Call(name):
             bound = delta.lookup(name)
             if bound is None:
                 raise TypeCheckError("T-Call", s, "unbound procedure")
-            return Judgment("T-Call", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-Call", gamma, delta, s, CMD,
                             env_union(gamma, bound), delta)
         case Par(left, right):
             j1 = type_of_stmt(gamma, delta, left)
             j2 = type_of_stmt(gamma, delta, right)
-            return Judgment("T-Par", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-Par", gamma, delta, s, CMD,
                             _join(gamma, j1, j2), delta, (j1, j2))
         case Protect(body):
             jb = type_of_stmt(gamma, delta, body)
-            return Judgment("T-Protect", gamma, delta, s, TypeName.CMD,
+            return Judgment("T-Protect", gamma, delta, s, CMD,
                             jb.gamma_out, jb.delta_out, (jb,))
         case _:
             raise TypeCheckError("check", s, "runtime-only construct")
@@ -257,8 +255,7 @@ def _join(gamma: TypeEnv, j1: Judgment, j2: Judgment) -> TypeEnv:
 
 
 def _empty_judgment(gamma: TypeEnv, delta: ProcTypeEnv) -> Judgment:
-    return Judgment("T-Empty", gamma, delta, Empty(), TypeName.CMD,
-                    gamma, delta)
+    return Judgment("T-Empty", gamma, delta, Empty(), CMD, gamma, delta)
 
 
 def check_program(s: Stmt) -> Judgment:

@@ -21,7 +21,8 @@ from whilelang.explorer import (
 from whilelang.parser import parse_program
 from whilelang.semantics import Configuration
 from whilelang.syntax import (
-    Empty, NatLit, Par, Printer, Seq, Update, ValStmt, VoidV, pretty,
+    EXPR_CLASSES, Empty, NatLit, Par, Printer, Seq, Update, ValStmt, Var,
+    VoidV, pretty, pretty_expr, value_text,
 )
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -284,12 +285,23 @@ class TestDeterminism:
             to_json_trace(run(c, schedule="random", seed=3))
 
 
-def _plain_trace_lines(t):
-    """The step lines of `to_json_trace(t)`, each printed on its own."""
-    return [json.dumps({"step": n, "rule": rule, "stmt": pretty(c.stmt),
-                        "store": render_store(c.store),
-                        "procs": render_procs(c.procs)})
-            for n, (rule, c) in enumerate(t.steps, start=1)]
+def _plain_trace(t):
+    """`to_json_trace(t)` as `json.dumps` of each line's dict gives it,
+    with each configuration printed on its own."""
+    lines = [json.dumps({"step": n, "rule": rule, "stmt": pretty(c.stmt),
+                         "store": render_store(c.store),
+                         "procs": render_procs(c.procs)})
+             for n, (rule, c) in enumerate(t.steps, start=1)]
+    status = {"status": t.status.kind, "steps": len(t.steps)}
+    if isinstance(t.status, Terminated):
+        status["value"] = value_text(t.status.value)
+    elif isinstance(t.status, Stuck):
+        at = t.status.info.at
+        status["reason"] = t.status.info.reason
+        status["at"] = (pretty_expr(at) if isinstance(at, EXPR_CLASSES)
+                        else pretty(at))
+    lines.append(json.dumps(status))
+    return "\n".join(lines) + "\n"
 
 
 def _plain_dot_node_lines(g):
@@ -303,7 +315,7 @@ def _plain_dot_node_lines(g):
 
 def _assert_exports_match_plain_printing(c, max_steps, max_states):
     t = run(c, max_steps=max_steps)
-    assert to_json_trace(t).splitlines()[:-1] == _plain_trace_lines(t)
+    assert to_json_trace(t) == _plain_trace(t)
     g = explore(c, max_states=max_states)
     lines = to_dot(g).splitlines()
     assert lines[1:1 + len(g.nodes)] == _plain_dot_node_lines(g)
@@ -326,6 +338,34 @@ class TestSharedSubtermPrinting:
     def test_runtime_statements(self, stmt):
         c = Configuration(SEEDED_STORE, Env(), stmt)
         _assert_exports_match_plain_printing(c, 200, 200)
+
+    def test_epsilon_escaped(self):
+        # The right side is left alone once the left one is done, and
+        # prints as `ε`, which JSON writes as an ASCII escape.
+        c = Configuration(SEEDED_STORE, Env(),
+                          Par(Update("x", NatLit(1)), Empty()))
+        text = to_json_trace(run(c))
+        assert text == _plain_trace(run(c))
+        assert '"stmt": "\\u03b5"' in text and "ε" not in text
+
+    def test_stuck_trace(self):
+        c = conf("var Nat x := 0; x := x + 1; call f")
+        t = run(c)
+        assert isinstance(t.status, Stuck) and t.steps
+        assert to_json_trace(t) == _plain_trace(t)
+        assert '"reason": "unbound procedure f", "at": "call f"' in \
+            to_json_trace(t)
+
+    def test_stuck_expression_trace(self):
+        t = run(conf("var Nat x := 0; x := y + 1"))
+        assert isinstance(t.status, Stuck) and t.status.info.at == Var("y")
+        assert to_json_trace(t) == _plain_trace(t)
+
+    def test_budget_exceeded_trace(self):
+        t = run(conf("var Nat x := 0; while true do x := x + 1"),
+                max_steps=25)
+        assert isinstance(t.status, BudgetExceeded) and len(t.steps) == 25
+        assert to_json_trace(t) == _plain_trace(t)
 
     def test_one_node_at_two_levels(self):
         # The same Seq and Par objects appear bare and braced, in one

@@ -1,6 +1,6 @@
 """The one-step relation: rule coverage, labels, gating, stuckness."""
 
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 from typing import get_args
 
@@ -12,18 +12,24 @@ from strategies import (
     SEEDED_STORE, parfree_runtime_stmts, runtime_stmts, stores,
 )
 
+from whilelang import env, explorer, semantics, syntax, typesys
 from whilelang.env import Env, Frame, render_store
-from whilelang.explorer import explore
+from whilelang.explorer import (
+    BudgetExceeded, OutcomeSet, ReductionGraph, Stuck, Terminated, Trace,
+    explore,
+)
 from whilelang.parser import parse_program
 from whilelang.semantics import (
     Configuration, StepResult, StuckInfo, diagnose, is_terminal,
     protected_pred, successors,
 )
 from whilelang.syntax import (
-    Add, And, BeginScope, Call, Decl, Empty, EndScope, Expr, ExprStmt,
-    FalseLit, If, NatLit, Not, Par, Protect, Protected, Seq, Stmt, Sub,
-    TrueLit, TypeName, Update, ValStmt, Value, Var, VoidV, While, pretty,
+    Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, Expr,
+    ExprStmt, FalseLit, If, Le, Mul, NatLit, Not, Par, ProcDecl, Protect,
+    Protected, Seq, Stmt, Sub, TrueLit, TypeName, Update, ValStmt, Value, Var,
+    VoidV, While, pretty,
 )
+from whilelang.typesys import Judgment, ProcTypeEnv, TypeEnv
 
 NAT = TypeName.NAT
 BOOL = TypeName.BOOL
@@ -422,8 +428,17 @@ def _one_of_each():
     for cls in sorted(classes, key=lambda c: c.__name__):
         yield cls(*[None] * len(fields(cls)))
     c = Configuration(Env(), Env(), VOID)
+    info = StuckInfo(VOID, "no applicable reduction")
     yield from (Frame((("x", NatLit(1)),)), Env(), c, StepResult("Seq2", c),
-                StuckInfo(VOID, "no applicable reduction"))
+                info)
+    gamma, delta = TypeEnv((("x", NAT),)), ProcTypeEnv()
+    yield from (gamma, delta,
+                Judgment("T-Empty", gamma, delta, Empty(), TypeName.CMD,
+                         gamma, delta))
+    yield from (Terminated(VoidV()), Stuck(info), BudgetExceeded(),
+                Trace(c, (), BudgetExceeded()),
+                ReductionGraph((c,), (), False, frozenset()),
+                OutcomeSet(frozenset(), frozenset(), True))
 
 
 class TestSlottedRecords:
@@ -437,3 +452,108 @@ class TestSlottedRecords:
         for field in fields(obj):
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, field.name, None)
+
+
+# Every record class with its fields in declaration order, which are also
+# its slots and its match arguments, and the defaults of those that have
+# any, for their last fields.
+RECORD_FIELDS = {
+    NatLit: ("n",), Var: ("name",), Add: ("left", "right"),
+    Sub: ("left", "right"), Mul: ("left", "right"), TrueLit: (),
+    FalseLit: (), Eq: ("left", "right"), Le: ("left", "right"),
+    And: ("left", "right"), Not: ("operand",), VoidV: (),
+    Seq: ("first", "second"), If: ("cond", "then_branch", "else_branch"),
+    While: ("cond", "body"), Decl: ("type_name", "name", "rhs"),
+    Update: ("name", "rhs"), ProcDecl: ("name", "body"),
+    Begin: ("decls", "procs", "body"), Call: ("name",),
+    Par: ("left", "right"), Protect: ("body",), Protected: ("body",),
+    BeginScope: (), EndScope: (), ExprStmt: ("expr",), ValStmt: ("value",),
+    Empty: (),
+    Frame: ("entries",), Env: ("frames",),
+    Configuration: ("store", "procs", "stmt"), StepResult: ("rule", "next"),
+    StuckInfo: ("at", "reason"),
+    TypeEnv: ("bindings",), ProcTypeEnv: ("entries",),
+    Judgment: ("rule", "gamma_in", "delta_in", "subject", "type",
+               "gamma_out", "delta_out", "children"),
+    Terminated: ("value",), Stuck: ("info",), BudgetExceeded: (),
+    Trace: ("origin", "steps", "status"),
+    ReductionGraph: ("nodes", "edges", "truncated", "unexpanded"),
+    OutcomeSet: ("terminals", "stuck", "complete"),
+}
+RECORD_DEFAULTS = {Frame: ((),), Env: ((Frame(),),), TypeEnv: ((),),
+                   ProcTypeEnv: ((),), Judgment: ((),)}
+
+
+def _setattr_built(cls, values):
+    """`cls` built as the stock frozen-dataclass `__init__` builds it: each
+    field stored through `object.__setattr__`."""
+    obj = object.__new__(cls)
+    for name, value in zip(RECORD_FIELDS[cls], values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _assert_same_record(got, expected):
+    assert type(got) is type(expected)
+    assert [getattr(got, f.name) for f in fields(got)] == \
+        [getattr(expected, f.name) for f in fields(expected)]
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert repr(got) == repr(expected)
+
+
+class TestRecordConstruction:
+    """Records store their fields through their slots' descriptors
+    (`syntax.record`); each must build what storing every field through
+    `object.__setattr__` builds, from positional or keyword arguments."""
+
+    def test_every_record_is_listed(self):
+        records = {obj for module in (syntax, env, semantics, typesys,
+                                      explorer)
+                   for obj in vars(module).values()
+                   if isinstance(obj, type) and is_dataclass(obj)
+                   and obj.__module__ == module.__name__}
+        assert records == set(RECORD_FIELDS)
+
+    @pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda c: c.__name__)
+    def test_slots_match_args_and_defaults(self, cls):
+        names = RECORD_FIELDS[cls]
+        assert cls.__slots__ == names
+        assert cls.__match_args__ == names
+        assert tuple(f.name for f in fields(cls)) == names
+        defaults = tuple(f.default for f in fields(cls)
+                         if f.default is not MISSING)
+        assert defaults == RECORD_DEFAULTS.get(cls, ())
+
+    @pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda c: c.__name__)
+    def test_matches_setattr_construction(self, cls):
+        names = RECORD_FIELDS[cls]
+        # A distinct value per field, so that a field stored in another's
+        # slot shows.
+        values = [f"{cls.__name__}.{name}" for name in names]
+        expected = _setattr_built(cls, values)
+        _assert_same_record(cls(*values), expected)
+        _assert_same_record(cls(**dict(zip(names, values))), expected)
+        defaults = RECORD_DEFAULTS.get(cls, ())
+        required = values[:len(values) - len(defaults)]
+        _assert_same_record(cls(*required),
+                            _setattr_built(cls, [*required, *defaults]))
+        obj = cls(*values)
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+
+    @pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda c: c.__name__)
+    def test_bad_arguments(self, cls):
+        names = RECORD_FIELDS[cls]
+        values = [None] * len(names)
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*values, unknown=None)
+        required = len(names) - len(RECORD_DEFAULTS.get(cls, ()))
+        if required:
+            with pytest.raises(TypeError):
+                cls(*values[:required - 1])
+            with pytest.raises(TypeError):
+                cls(*values, **{names[0]: None})
