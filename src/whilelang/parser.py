@@ -30,7 +30,11 @@ sorts are checked once it is read, root first and left to right: the first
 node of the wrong sort is the one reported.
 
 The scanner is one regular expression, run over the whole source before
-parsing, so a bad character is reported before any syntax error. Unicode
+parsing, so a bad character is reported before any syntax error. Each of
+its matches is the run of blanks before a token and the token itself, so
+blanks cost no match of their own, and each token is built as a plain
+tuple of the `Token` class, without the named tuple's Python-level
+constructor. Unicode
 spellings of the operators (≤ ∧ ¬ −) are accepted, but numerals are up to
 4300 ASCII digits and names ASCII letters, digits and '_'. Comments run
 from '//' to the end of the line.
@@ -62,25 +66,31 @@ KEYWORDS = {
 
 _ALIASES = {"≤": "<=", "∧": "and", "¬": "not", "−": "-"}
 
-# Alternatives are tried in order, and `bad` takes any other character.
-# `\s` is the set `str.isspace` accepts; each character but '\n' is a column.
+_WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+# Each match is a run of blanks and then one token, or the end of input.
+# A blank is a character `str.isspace` accepts, '\n' excepted; each
+# character but '\n' is a column. Alternatives are tried in order. `bad`
+# takes any other non-blank character, so the blanks never backtrack into
+# it, and `end` takes blanks at the end of input, so finditer never
+# searches through them.
 _TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<space>[^\S\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<alias>[≤∧¬−])
-  | (?P<number>[0-9]+)
-  | (?P<word>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<symbol>:=|<=|[;{}()+*=-])
-  | (?P<bad>.)
+    [^\S\n]*
+    (?: (?P<word>""" + _WORD.pattern + r""")
+      | (?P<symbol>:=|<=|[;{}()+*=-])
+      | (?P<number>[0-9]+)
+      | (?P<newline>\n)
+      | (?P<comment>//[^\n]*)
+      | (?P<alias>[≤∧¬−])
+      | (?P<bad>\S)
+      | (?P<end>\Z)
+    )
 """, re.VERBOSE)
 
 
 def is_identifier(name: str) -> bool:
     """Whether `name` is one identifier token: a word that is no keyword."""
-    match = _TOKEN.fullmatch(name)
-    return match is not None and match.lastgroup == "word" \
-        and name not in KEYWORDS
+    return _WORD.fullmatch(name) is not None and name not in KEYWORDS
 
 
 class ParseError(Exception):
@@ -106,20 +116,23 @@ class Token(NamedTuple):
     column: int
 
 
+# What Token._make does, without its Python-level call.
+_new_tuple = tuple.__new__
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup
-        if kind == "space" or kind == "comment":
-            continue
-        start = match.start()
         if kind == "newline":
             line += 1
-            line_start = start + 1
+            line_start = match.end()
             continue
-        text = match.group()
-        col = start - line_start + 1
+        if kind == "comment" or kind == "end":
+            continue
+        text = match.group(kind)
+        col = match.start(kind) - line_start + 1
         if kind == "word":
             kind = "keyword" if text in KEYWORDS else "ident"
         elif kind == "number" and len(text) > MAX_NUMERAL_DIGITS:
@@ -129,7 +142,7 @@ def tokenize(source: str) -> list[Token]:
             kind = "keyword" if text.isalpha() else "symbol"
         elif kind == "bad":
             raise ParseError(f"unexpected character {text!r}", line, col)
-        tokens.append(Token(kind, text, line, col))
+        tokens.append(_new_tuple(Token, (kind, text, line, col)))
     # A comment does not advance the column, so end of input sits where a
     # comment on the last line starts: its first '//', since any other '/'
     # is a bad character.

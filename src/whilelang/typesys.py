@@ -22,6 +22,14 @@ bindings:
 A failed check raises TypeCheckError rendered as
 "error[RULE] at <subterm>: <cause>". A runtime-only form has no rule and
 is rejected where the checker meets it.
+
+`type_of_expr` and `type_of_stmt` run once per judgment: each reads its
+node's class once and tests it against a chain of classes, most often
+judged first (the order of the `visits` counts in BENCH_15.json), so a
+subclass of a syntax node is not recognised. `render_derivation` prints
+each subject and each environment object once, and an expression
+judgment's output environments, being its input objects, share their
+text.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ from .syntax import (
     ProcDecl, Protect, Redex, Seq, Stmt, Sub, TrueLit, TypeName, Update, Var,
     While, pretty, pretty_expr, record,
 )
+
+# A type's text, read without the enum's `value` descriptor.
+_TYPE_TEXT = {t: t.value for t in TypeName}
 
 
 @record
@@ -51,7 +62,7 @@ class TypeEnv:
         return self.bindings == other.bindings[:len(self.bindings)]
 
     def render(self) -> str:
-        return "{" + ", ".join(f"{k}={t.value}" for k, t in self.bindings) + "}"
+        return "{" + ", ".join(f"{k}={_TYPE_TEXT[t]}" for k, t in self.bindings) + "}"
 
 
 @record
@@ -135,116 +146,111 @@ def type_of_expr(gamma: TypeEnv, delta: ProcTypeEnv, e: Expr) -> Judgment:
 
     Each operand is judged here, not in a helper, so that each level of
     nesting costs one stack frame."""
-
-    def axiom(rule: str, t: TypeName, children=()) -> Judgment:
-        return Judgment(rule, gamma, delta, e, t, gamma, delta, children)
-
-    match e:
-        case NatLit(_):
-            return axiom("T-Nat", NAT)
-        case TrueLit():
-            return axiom("T-True", BOOL)
-        case FalseLit():
-            return axiom("T-False", BOOL)
-        case Var(name):
-            t = gamma.lookup(name)
-            if t is None:
-                raise TypeCheckError("T-Var", e, "unbound variable")
-            return axiom("T-Var", t)
-        case Not(b):
-            j = type_of_expr(gamma, delta, b)
-            if j.type is not BOOL:
-                raise _mismatch("T-Not", e, BOOL, j.type)
-            return axiom("T-Not", BOOL, (j,))
-        case _ if type(e) in OPERATORS:
-            rule = _BINARY_RULES[type(e)]
-            *_, want, t = OPERATORS[type(e)]
-            left = type_of_expr(gamma, delta, e.left)
-            if left.type is not want:
-                raise _mismatch(rule, e, want, left.type)
-            right = type_of_expr(gamma, delta, e.right)
-            if right.type is not want:
-                raise _mismatch(rule, e, want, right.type)
-            return axiom(rule, t, (left, right))
+    cls = type(e)
+    if cls is Var:
+        t = gamma.lookup(e.name)
+        if t is None:
+            raise TypeCheckError("T-Var", e, "unbound variable")
+        return Judgment("T-Var", gamma, delta, e, t, gamma, delta)
+    if cls is NatLit:
+        return Judgment("T-Nat", gamma, delta, e, NAT, gamma, delta)
+    row = OPERATORS.get(cls)
+    if row is not None:
+        rule = _BINARY_RULES[cls]
+        want = row[4]
+        left = type_of_expr(gamma, delta, e.left)
+        if left.type is not want:
+            raise _mismatch(rule, e, want, left.type)
+        right = type_of_expr(gamma, delta, e.right)
+        if right.type is not want:
+            raise _mismatch(rule, e, want, right.type)
+        return Judgment(rule, gamma, delta, e, row[5], gamma, delta,
+                        (left, right))
+    if cls is Not:
+        j = type_of_expr(gamma, delta, e.operand)
+        if j.type is not BOOL:
+            raise _mismatch("T-Not", e, BOOL, j.type)
+        return Judgment("T-Not", gamma, delta, e, BOOL, gamma, delta, (j,))
+    if cls is TrueLit:
+        return Judgment("T-True", gamma, delta, e, BOOL, gamma, delta)
+    if cls is FalseLit:
+        return Judgment("T-False", gamma, delta, e, BOOL, gamma, delta)
     raise TypeError(f"not an expression: {e!r}")
 
 
 def type_of_stmt(gamma: TypeEnv, delta: ProcTypeEnv, s: Stmt) -> Judgment:
-    match s:
-        case Decl(t, name, rhs):
-            j = type_of_expr(gamma, delta, rhs)
-            if j.type is not t:
-                raise _mismatch("T-Assign", s, t, j.type)
-            return Judgment("T-Assign", gamma, delta, s, CMD,
-                            gamma.extend(name, t), delta, (j,))
-        case Update(name, rhs):
-            bound = gamma.lookup(name)
-            if bound is None:
-                raise TypeCheckError("T-Update", s, "unbound variable")
-            j = type_of_expr(gamma, delta, rhs)
-            if j.type is not bound:
-                raise _mismatch("T-Update", s, bound, j.type)
-            return Judgment("T-Update", gamma, delta, s, CMD,
-                            gamma, delta, (j,))
-        case Seq(first, second):
-            j1 = type_of_stmt(gamma, delta, first)
-            j2 = type_of_stmt(j1.gamma_out, j1.delta_out, second)
-            return Judgment("T-Seq", gamma, delta, s, CMD,
-                            j2.gamma_out, j2.delta_out, (j1, j2))
-        case If(cond, then_branch, else_branch):
-            jc = type_of_expr(gamma, delta, cond)
-            if jc.type is not BOOL:
-                raise _mismatch("T-If", s, BOOL, jc.type)
-            j1 = type_of_stmt(gamma, delta, then_branch)
-            j2 = type_of_stmt(gamma, delta, else_branch)
-            return Judgment("T-If", gamma, delta, s, CMD,
-                            _join(gamma, j1, j2), delta, (jc, j1, j2))
-        case While(cond, body):
-            jc = type_of_expr(gamma, delta, cond)
-            if jc.type is not BOOL:
-                raise _mismatch("T-While", s, BOOL, jc.type)
-            jb = type_of_stmt(gamma, delta, body)
-            if jb.gamma_out != gamma or jb.delta_out != delta:
-                raise TypeCheckError("T-While", s,
-                                     "loop body modifies environment")
-            return Judgment("T-While", gamma, delta, s, CMD,
-                            gamma, delta, (jc, jb))
-        case Begin(decls, procs, body):
-            children = []
-            g, d = gamma, delta
-            for section in (decls, procs):
-                if not section:
-                    children.append(_empty_judgment(g, d))
-                for item in section:
-                    j = type_of_stmt(g, d, item)
-                    children.append(j)
-                    g, d = j.gamma_out, j.delta_out
-            jb = type_of_stmt(g, d, body)
-            children.append(jb)
-            return Judgment("T-Begin", gamma, delta, s, CMD,
-                            gamma, delta, tuple(children))
-        case ProcDecl(name, body):
-            jb = type_of_stmt(gamma, delta, body)
-            added = env_diff(jb.gamma_out, gamma)
-            return Judgment("T-Proc", gamma, delta, s, CMD,
-                            gamma, delta.bind(name, added), (jb,))
-        case Call(name):
-            bound = delta.lookup(name)
-            if bound is None:
-                raise TypeCheckError("T-Call", s, "unbound procedure")
-            return Judgment("T-Call", gamma, delta, s, CMD,
-                            env_union(gamma, bound), delta)
-        case Par(left, right):
-            j1 = type_of_stmt(gamma, delta, left)
-            j2 = type_of_stmt(gamma, delta, right)
-            return Judgment("T-Par", gamma, delta, s, CMD,
-                            _join(gamma, j1, j2), delta, (j1, j2))
-        case Protect(body):
-            jb = type_of_stmt(gamma, delta, body)
-            return Judgment("T-Protect", gamma, delta, s, CMD,
-                            jb.gamma_out, jb.delta_out, (jb,))
-        case _:
-            raise TypeCheckError("check", s, "runtime-only construct")
+    cls = type(s)
+    if cls is Update:
+        bound = gamma.lookup(s.name)
+        if bound is None:
+            raise TypeCheckError("T-Update", s, "unbound variable")
+        j = type_of_expr(gamma, delta, s.rhs)
+        if j.type is not bound:
+            raise _mismatch("T-Update", s, bound, j.type)
+        return Judgment("T-Update", gamma, delta, s, CMD, gamma, delta, (j,))
+    if cls is Seq:
+        j1 = type_of_stmt(gamma, delta, s.first)
+        j2 = type_of_stmt(j1.gamma_out, j1.delta_out, s.second)
+        return Judgment("T-Seq", gamma, delta, s, CMD,
+                        j2.gamma_out, j2.delta_out, (j1, j2))
+    if cls is Decl:
+        j = type_of_expr(gamma, delta, s.rhs)
+        t = s.type_name
+        if j.type is not t:
+            raise _mismatch("T-Assign", s, t, j.type)
+        return Judgment("T-Assign", gamma, delta, s, CMD,
+                        gamma.extend(s.name, t), delta, (j,))
+    if cls is Begin:
+        children = []
+        g, d = gamma, delta
+        for section in (s.decls, s.procs):
+            if not section:
+                children.append(_empty_judgment(g, d))
+            for item in section:
+                j = type_of_stmt(g, d, item)
+                children.append(j)
+                g, d = j.gamma_out, j.delta_out
+        children.append(type_of_stmt(g, d, s.body))
+        return Judgment("T-Begin", gamma, delta, s, CMD,
+                        gamma, delta, tuple(children))
+    if cls is ProcDecl:
+        jb = type_of_stmt(gamma, delta, s.body)
+        added = env_diff(jb.gamma_out, gamma)
+        return Judgment("T-Proc", gamma, delta, s, CMD,
+                        gamma, delta.bind(s.name, added), (jb,))
+    if cls is If:
+        jc = type_of_expr(gamma, delta, s.cond)
+        if jc.type is not BOOL:
+            raise _mismatch("T-If", s, BOOL, jc.type)
+        j1 = type_of_stmt(gamma, delta, s.then_branch)
+        j2 = type_of_stmt(gamma, delta, s.else_branch)
+        return Judgment("T-If", gamma, delta, s, CMD,
+                        _join(gamma, j1, j2), delta, (jc, j1, j2))
+    if cls is Call:
+        bound = delta.lookup(s.name)
+        if bound is None:
+            raise TypeCheckError("T-Call", s, "unbound procedure")
+        return Judgment("T-Call", gamma, delta, s, CMD,
+                        env_union(gamma, bound), delta)
+    if cls is While:
+        jc = type_of_expr(gamma, delta, s.cond)
+        if jc.type is not BOOL:
+            raise _mismatch("T-While", s, BOOL, jc.type)
+        jb = type_of_stmt(gamma, delta, s.body)
+        if jb.gamma_out != gamma or jb.delta_out != delta:
+            raise TypeCheckError("T-While", s, "loop body modifies environment")
+        return Judgment("T-While", gamma, delta, s, CMD,
+                        gamma, delta, (jc, jb))
+    if cls is Par:
+        j1 = type_of_stmt(gamma, delta, s.left)
+        j2 = type_of_stmt(gamma, delta, s.right)
+        return Judgment("T-Par", gamma, delta, s, CMD,
+                        _join(gamma, j1, j2), delta, (j1, j2))
+    if cls is Protect:
+        jb = type_of_stmt(gamma, delta, s.body)
+        return Judgment("T-Protect", gamma, delta, s, CMD,
+                        jb.gamma_out, jb.delta_out, (jb,))
+    raise TypeCheckError("check", s, "runtime-only construct")
 
 
 def _join(gamma: TypeEnv, j1: Judgment, j2: Judgment) -> TypeEnv:
@@ -282,12 +288,14 @@ def render_derivation(j: Judgment) -> str:
     def walk(node: Judgment, depth: int) -> None:
         s = node.subject
         text = pretty_expr(s) if isinstance(s, EXPR_CLASSES) else printer.stmt(s)
-        lines.append(
-            "  " * depth
-            + f"{node.rule}: {env(node.gamma_in)} {env(node.delta_in)}"
-            + f" ⊢ {text} : {node.type.value}"
-            + f" ⊣ {env(node.gamma_out)} {env(node.delta_out)}"
-        )
+        before = f"{env(node.gamma_in)} {env(node.delta_in)}"
+        # Every expression judgment leaves both environments as they were.
+        if node.gamma_out is node.gamma_in and node.delta_out is node.delta_in:
+            after = before
+        else:
+            after = f"{env(node.gamma_out)} {env(node.delta_out)}"
+        lines.append(f"{'  ' * depth}{node.rule}: {before} ⊢ {text}"
+                     f" : {_TYPE_TEXT[node.type]} ⊣ {after}")
         for child in node.children:
             walk(child, depth + 1)
 

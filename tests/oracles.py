@@ -19,6 +19,9 @@ from whilelang.parser import (
 from whilelang.semantics import (
     Configuration, NumeralOverflow, StepResult, StuckInfo, successors,
 )
+from whilelang.typesys import (
+    Judgment, TypeCheckError, env_diff, env_union,
+)
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, Expr,
     ExprStmt, FalseLit, Le, Mul, NatLit, Not, Par, ProcDecl, Protect,
@@ -219,6 +222,141 @@ def oracle_render_derivation(j) -> str:
 
     walk(j, 0)
     return "\n".join(lines) + "\n"
+
+
+# Each binary operator's typing rule, operand type and result type.
+_ORACLE_TYPING = {
+    Add: ("T-Add", TypeName.NAT, TypeName.NAT),
+    Sub: ("T-Sub", TypeName.NAT, TypeName.NAT),
+    Mul: ("T-Mult", TypeName.NAT, TypeName.NAT),
+    Eq: ("T-Equal", TypeName.NAT, TypeName.BOOL),
+    Le: ("T-LEqual", TypeName.NAT, TypeName.BOOL),
+    And: ("T-And", TypeName.BOOL, TypeName.BOOL),
+}
+
+
+def _oracle_mismatch(rule, location, expected, found):
+    return TypeCheckError(rule, location, f"expected {expected}, found {found}")
+
+
+def oracle_type_of_expr(gamma, delta, e):
+    """The expression rules by structural pattern matching, one case each."""
+
+    def axiom(rule, t, children=()):
+        return Judgment(rule, gamma, delta, e, t, gamma, delta, children)
+
+    match e:
+        case NatLit(_):
+            return axiom("T-Nat", TypeName.NAT)
+        case TrueLit():
+            return axiom("T-True", TypeName.BOOL)
+        case FalseLit():
+            return axiom("T-False", TypeName.BOOL)
+        case Var(name):
+            t = gamma.lookup(name)
+            if t is None:
+                raise TypeCheckError("T-Var", e, "unbound variable")
+            return axiom("T-Var", t)
+        case Not(b):
+            j = oracle_type_of_expr(gamma, delta, b)
+            if j.type is not TypeName.BOOL:
+                raise _oracle_mismatch("T-Not", e, TypeName.BOOL, j.type)
+            return axiom("T-Not", TypeName.BOOL, (j,))
+        case Add(l, r) | Sub(l, r) | Mul(l, r) | Eq(l, r) | Le(l, r) | And(l, r):
+            rule, want, t = _ORACLE_TYPING[type(e)]
+            left = oracle_type_of_expr(gamma, delta, l)
+            if left.type is not want:
+                raise _oracle_mismatch(rule, e, want, left.type)
+            right = oracle_type_of_expr(gamma, delta, r)
+            if right.type is not want:
+                raise _oracle_mismatch(rule, e, want, right.type)
+            return axiom(rule, t, (left, right))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _oracle_join(gamma, j1, j2):
+    return env_union(env_union(gamma, env_diff(j1.gamma_out, gamma)),
+                     env_diff(j2.gamma_out, gamma))
+
+
+def oracle_type_of_stmt(gamma, delta, s):
+    """The statement rules by structural pattern matching, one case each."""
+    cmd = TypeName.CMD
+    match s:
+        case Decl(t, name, rhs):
+            j = oracle_type_of_expr(gamma, delta, rhs)
+            if j.type is not t:
+                raise _oracle_mismatch("T-Assign", s, t, j.type)
+            return Judgment("T-Assign", gamma, delta, s, cmd,
+                            gamma.extend(name, t), delta, (j,))
+        case Update(name, rhs):
+            bound = gamma.lookup(name)
+            if bound is None:
+                raise TypeCheckError("T-Update", s, "unbound variable")
+            j = oracle_type_of_expr(gamma, delta, rhs)
+            if j.type is not bound:
+                raise _oracle_mismatch("T-Update", s, bound, j.type)
+            return Judgment("T-Update", gamma, delta, s, cmd,
+                            gamma, delta, (j,))
+        case Seq(first, second):
+            j1 = oracle_type_of_stmt(gamma, delta, first)
+            j2 = oracle_type_of_stmt(j1.gamma_out, j1.delta_out, second)
+            return Judgment("T-Seq", gamma, delta, s, cmd,
+                            j2.gamma_out, j2.delta_out, (j1, j2))
+        case If(cond, then_branch, else_branch):
+            jc = oracle_type_of_expr(gamma, delta, cond)
+            if jc.type is not TypeName.BOOL:
+                raise _oracle_mismatch("T-If", s, TypeName.BOOL, jc.type)
+            j1 = oracle_type_of_stmt(gamma, delta, then_branch)
+            j2 = oracle_type_of_stmt(gamma, delta, else_branch)
+            return Judgment("T-If", gamma, delta, s, cmd,
+                            _oracle_join(gamma, j1, j2), delta, (jc, j1, j2))
+        case While(cond, body):
+            jc = oracle_type_of_expr(gamma, delta, cond)
+            if jc.type is not TypeName.BOOL:
+                raise _oracle_mismatch("T-While", s, TypeName.BOOL, jc.type)
+            jb = oracle_type_of_stmt(gamma, delta, body)
+            if jb.gamma_out != gamma or jb.delta_out != delta:
+                raise TypeCheckError("T-While", s,
+                                     "loop body modifies environment")
+            return Judgment("T-While", gamma, delta, s, cmd,
+                            gamma, delta, (jc, jb))
+        case Begin(decls, procs, body):
+            children = []
+            g, d = gamma, delta
+            for section in (decls, procs):
+                if not section:
+                    children.append(
+                        Judgment("T-Empty", g, d, Empty(), cmd, g, d))
+                for item in section:
+                    j = oracle_type_of_stmt(g, d, item)
+                    children.append(j)
+                    g, d = j.gamma_out, j.delta_out
+            children.append(oracle_type_of_stmt(g, d, body))
+            return Judgment("T-Begin", gamma, delta, s, cmd,
+                            gamma, delta, tuple(children))
+        case ProcDecl(name, body):
+            jb = oracle_type_of_stmt(gamma, delta, body)
+            added = env_diff(jb.gamma_out, gamma)
+            return Judgment("T-Proc", gamma, delta, s, cmd,
+                            gamma, delta.bind(name, added), (jb,))
+        case Call(name):
+            bound = delta.lookup(name)
+            if bound is None:
+                raise TypeCheckError("T-Call", s, "unbound procedure")
+            return Judgment("T-Call", gamma, delta, s, cmd,
+                            env_union(gamma, bound), delta)
+        case Par(left, right):
+            j1 = oracle_type_of_stmt(gamma, delta, left)
+            j2 = oracle_type_of_stmt(gamma, delta, right)
+            return Judgment("T-Par", gamma, delta, s, cmd,
+                            _oracle_join(gamma, j1, j2), delta, (j1, j2))
+        case Protect(body):
+            jb = oracle_type_of_stmt(gamma, delta, body)
+            return Judgment("T-Protect", gamma, delta, s, cmd,
+                            jb.gamma_out, jb.delta_out, (jb,))
+        case _:
+            raise TypeCheckError("check", s, "runtime-only construct")
 
 
 def dfs_reachable_renderings(c0: Configuration, limit: int = 100_000):

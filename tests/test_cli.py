@@ -1,10 +1,12 @@
 """End-to-end command-line runs: via subprocess, and in process for the
 exit-code fuzz test."""
 
+import glob
 import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -565,3 +567,60 @@ class TestExitCodeContract:
         r = whilelang(command, tmp_program(
             "var Nat x := " + " + ".join(["1"] * 600)))
         assert (r.returncode, r.stdout, r.stderr) == (0, stdout, "")
+
+
+# Runs whilelang's CLI in process on each argument list; `cli_results`
+# returns [exit code, stdout, stderr] for each.
+_CLI_RESULTS = """
+import json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from whilelang import cli
+
+def cli_results(argvs):
+    results = []
+    for argv in argvs:
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        results.append([code, out.getvalue(), err.getvalue()])
+    return results
+"""
+
+
+def _python310():
+    """A Python 3.10 interpreter that runs, or None: pyproject.toml asks
+    for 3.10 or later."""
+    candidates = [shutil.which("python3.10"), *sorted(glob.glob(
+        os.path.expanduser("~/.pyenv/versions/3.10*/bin/python3")))]
+    for exe in candidates:
+        if exe and subprocess.run(
+                [exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
+                capture_output=True).returncode == 0:
+            return exe
+    return None
+
+
+class TestOldestPython:
+    def test_frontend_under_python_310(self, tmp_program):
+        exe = _python310()
+        if exe is None:
+            pytest.skip("no Python 3.10 interpreter found")
+        paths = [str(p) for p in sorted((ROOT / "programs").glob("**/*.whl"))]
+        # A parse error after blanks, and a type error.
+        paths += [tmp_program("x := 1 \x0b\t$", "bad-char.whl"),
+                  tmp_program("var Nat x := 1;\r\n  x := true", "bad-type.whl")]
+        argvs = [argv for path in paths for argv in (
+            ["parse", path], ["check", path, "--emit-derivation"])]
+        namespace = {}
+        exec(_CLI_RESULTS, namespace)
+        expected = namespace["cli_results"](argvs)
+        r = subprocess.run(
+            [exe, "-c", _CLI_RESULTS
+             + "print(json.dumps(cli_results(json.loads(sys.argv[1]))))",
+             json.dumps(argvs)],
+            capture_output=True, text=True, encoding="utf-8",
+            env=_child_env(PYTHONIOENCODING="utf-8"), cwd=ROOT)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == expected
+        assert [code for code, _, _ in expected].count(0) == 2 * len(paths) - 3

@@ -1,5 +1,6 @@
 """Parser, pretty-printer, and decomposition machinery."""
 
+import time
 from itertools import product
 from pathlib import Path
 
@@ -15,7 +16,9 @@ from oracles import (
 
 from whilelang.env import Env
 from whilelang.explorer import explore
-from whilelang.parser import KEYWORDS, ParseError, parse_program, tokenize
+from whilelang.parser import (
+    KEYWORDS, ParseError, Token, is_identifier, parse_program, tokenize,
+)
 from whilelang.semantics import Configuration
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, Eq, ExprStmt, FalseLit,
@@ -204,6 +207,11 @@ TOKEN_PIECES = sorted(KEYWORDS) + [
     "≤", "∧", "¬", "−", "²", "٣", "é",
 ]
 
+# Blanks (characters other than '\n' that `str.isspace` accepts), ASCII
+# and not, alone and in runs.
+BLANK_PIECES = ["\t", "\r", "\x0b", "\x0c", "\x85", " ", "\u3000", "\xa0",
+                "\u2028", "   ", "\t \r"]
+
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
@@ -225,6 +233,56 @@ class TestTokenizeMatchesOracle:
     def test_sample_programs(self, path):
         text = path.read_text("utf-8")
         assert _scan(tokenize, text) == _scan(oracle_tokenize, text)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES + BLANK_PIECES * 4),
+                    max_size=30).map("".join))
+    def test_blank_heavy_soup(self, text):
+        assert _scan(tokenize, text) == _scan(oracle_tokenize, text)
+
+    @pytest.mark.parametrize("after", [
+        "", "$", "é", "//", "// note", "/", "\n", "\nx", "9" * 4301,
+        "≤", "≤ 1", "x", ":=",
+    ])
+    @pytest.mark.parametrize("before", ["", "x", "x := 1;", "x\n", "// c\n"])
+    def test_blanks_before_each_kind(self, before, after):
+        # Blanks are scanned as part of the next token's match, so they
+        # must move no column: of the token, of the error, of end of input.
+        for blanks in BLANK_PIECES + ["".join(BLANK_PIECES)]:
+            text = before + blanks + after
+            assert _scan(tokenize, text) == _scan(oracle_tokenize, text)
+
+    def test_long_blank_runs(self):
+        # A run of blanks at the end of input is one match, not a search
+        # from each of its characters: that search takes time quadratic in
+        # the run's length, about 20 s for these 20,000 blanks.
+        for text in ("x" + " " * 20_000, "\t" * 20_000,
+                     "x" + " \r" * 10_000 + "\ny"):
+            start = time.perf_counter()
+            tokens = _scan(tokenize, text)
+            assert time.perf_counter() - start < 2.0
+            assert tokens == _scan(oracle_tokenize, text)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES + BLANK_PIECES),
+                    max_size=20).map("".join))
+    def test_tokens_are_named_tuples(self, text):
+        try:
+            tokens = tokenize(text)
+        except ParseError:
+            return
+        for tok in tokens:
+            assert type(tok) is Token
+            assert (tok.kind, tok.text, tok.line, tok.column) == tuple(tok)
+        assert tokens[-1].kind == "eof"
+
+    @pytest.mark.parametrize("name,expected", [
+        ("x", True), ("y_1", True), (" x", False), ("x ", False),
+        ("\tx", False), ("x\n", False), ("var", False), ("1x", False),
+        ("", False), ("x y", False),
+    ])
+    def test_is_identifier(self, name, expected):
+        assert is_identifier(name) is expected
 
 
 def _parse(parser, text):

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_render_derivation
-from strategies import PROC_POOL, exprs, parfree_source_stmts, source_stmts
+from oracles import (
+    oracle_render_derivation, oracle_type_of_expr, oracle_type_of_stmt,
+)
+from strategies import (
+    PROC_POOL, exprs, parfree_source_stmts, runtime_stmts, source_stmts,
+)
+from test_cli import _load_perfbench
 
 from whilelang.parser import parse_program
 from whilelang.syntax import (
@@ -344,3 +349,76 @@ class TestCheckerProperties:
         except TypeCheckError:
             again = ("err",)
         assert verdict == again
+
+
+def _assert_checker_matches_oracle(check, oracle, node):
+    """From empty and from seeded environments: equal judgment trees with
+    byte-identical derivation texts, or errors with equal rule and cause
+    at the same node."""
+    for gamma, delta in ((TypeEnv(), ProcTypeEnv()), SEEDED):
+        try:
+            expected = oracle(gamma, delta, node)
+        except TypeCheckError as err:
+            with pytest.raises(TypeCheckError) as info:
+                check(gamma, delta, node)
+            assert (info.value.rule, info.value.cause) == (err.rule, err.cause)
+            assert info.value.location is err.location
+            continue
+        got = check(gamma, delta, node)
+        assert got == expected
+        assert render_derivation(got) == oracle_render_derivation(expected)
+
+
+class TestCheckerMatchesOracle:
+    """The checker's class dispatch against the rules written as `match`
+    cases in tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exprs)
+    def test_generated_expressions(self, e):
+        _assert_checker_matches_oracle(type_of_expr, oracle_type_of_expr, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(source_stmts)
+    def test_generated_statements(self, stmt):
+        _assert_checker_matches_oracle(type_of_stmt, oracle_type_of_stmt, stmt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(runtime_stmts)
+    def test_generated_runtime_statements(self, stmt):
+        _assert_checker_matches_oracle(type_of_stmt, oracle_type_of_stmt, stmt)
+
+    def test_corpus(self):
+        for path in sorted(PROGRAMS.glob("**/*.whl")):
+            _assert_checker_matches_oracle(
+                type_of_stmt, oracle_type_of_stmt,
+                parse_program(path.read_text("utf-8")))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_benchmark_programs_and_mutants(self, index):
+        # Each of the benchmark's four mutations (unbound update,
+        # Bool to Nat, Nat condition, unbound call) at its first and
+        # last site, each forcing its rule.
+        workloads = _load_perfbench("workloads")
+        text, sites = workloads.frontend_program(index)
+        _assert_checker_matches_oracle(
+            type_of_stmt, oracle_type_of_stmt, parse_program(text))
+        for kind, rule in workloads.MUTATIONS.items():
+            for site in sorted({0, sites[kind] - 1}):
+                if site < 0:
+                    continue
+                mutant, _ = workloads.frontend_program(index, (kind, site))
+                stmt = parse_program(mutant)
+                with pytest.raises(TypeCheckError) as info:
+                    check_program(stmt)
+                assert info.value.rule == rule
+                _assert_checker_matches_oracle(
+                    type_of_stmt, oracle_type_of_stmt, stmt)
+
+    def test_non_expression_rejected(self):
+        for node in (Seq(Call("p"), Call("q")), ValStmt(VoidV()), Empty()):
+            with pytest.raises(TypeError) as got:
+                type_of_expr(TypeEnv(), ProcTypeEnv(), node)
+            with pytest.raises(TypeError) as expected:
+                oracle_type_of_expr(TypeEnv(), ProcTypeEnv(), node)
+            assert str(got.value) == str(expected.value)
