@@ -190,7 +190,7 @@ def _main(argv: list[str] | None) -> int:
         match trace.status:
             case Terminated(value):
                 if args.command == "run":
-                    final = trace.configurations()[-1]
+                    final = trace.steps[-1][1] if trace.steps else trace.origin
                     _emit(f"{value_text(value)} {render_store(final.store)}\n",
                           args.out)
                 return EXIT_OK

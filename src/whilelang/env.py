@@ -7,12 +7,15 @@ operation returns fresh values, inputs are never mutated.
 Lookup and update bind to the deepest frame containing the name; a
 declaration targets the deepest frame only and refuses a name already bound
 there, so shadowing across levels is allowed while redeclaration within a
-level is not.
+level is not. The procedure store binds bodies the same way, so
+`declare_proc` and `lookup_proc` are the functions `declare_var` and
+`lookup_var`. A failed operation raises an `EnvError`, which the semantics
+turns into a stuck redex.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from .parser import is_identifier
 from .syntax import (
@@ -34,7 +37,7 @@ class UnboundError(EnvError):
 
 
 class ScopeError(EnvError):
-    """Attempt to pop the global scope; indicates a bug in the semantics."""
+    """Attempt to pop the global scope."""
 
 
 @record
@@ -47,9 +50,9 @@ class Frame:
                 return value
         raise KeyError(name)
 
-    # `__contains__` and `rebind` run on every lookup, update and
-    # declaration, so they use a plain loop and a list comprehension, not
-    # generator expressions.
+    # `__contains__` and `rebind` run on every update and declaration, so
+    # they use a plain loop and a list comprehension, not generator
+    # expressions.
     def __contains__(self, name: str) -> bool:
         for key, _ in self.entries:
             if key == name:
@@ -68,9 +71,6 @@ class Frame:
 class Env:
     frames: tuple[Frame, ...] = (Frame(),)
 
-    def __iter__(self) -> Iterator[Frame]:
-        return iter(self.frames)
-
     def depth(self) -> int:
         return len(self.frames)
 
@@ -87,45 +87,35 @@ def pop_scope(store: Env, procs: Env) -> tuple[Env, Env]:
     return (Env(store.frames[:-1]), Env(procs.frames[:-1]))
 
 
-def _declare(env: Env, name: str, value) -> Env:
-    deepest = env.frames[-1]
+def declare_var(store: Env, name: str, value) -> Env:
+    """Bind `name` in the deepest frame, which must not bind it yet."""
+    deepest = store.frames[-1]
     if name in deepest:
         raise RedeclError(name)
-    return Env(env.frames[:-1] + (deepest.bind(name, value),))
-
-
-def _lookup(env: Env, name: str):
-    for frame in reversed(env.frames):
-        if name in frame:
-            return frame.get(name)
-    raise UnboundError(name)
-
-
-def declare_var(store: Env, name: str, value: Value) -> Env:
-    return _declare(store, name, value)
+    return Env(store.frames[:-1] + (deepest.bind(name, value),))
 
 
 def update_var(store: Env, name: str, value: Value) -> Env:
     """Rebind the deepest occurrence of `name`; never creates a binding."""
-    for i in range(store.depth() - 1, -1, -1):
-        if name in store.frames[i]:
-            frames = (store.frames[:i]
-                      + (store.frames[i].rebind(name, value),)
-                      + store.frames[i + 1:])
-            return Env(frames)
+    frames = store.frames
+    for i in range(len(frames) - 1, -1, -1):
+        if name in frames[i]:
+            return Env(frames[:i] + (frames[i].rebind(name, value),)
+                       + frames[i + 1:])
     raise UnboundError(name)
 
 
-def lookup_var(store: Env, name: str) -> Value:
-    return _lookup(store, name)
+def lookup_var(store: Env, name: str):
+    """The value of the deepest binding of `name`."""
+    for frame in reversed(store.frames):
+        for key, value in frame.entries:
+            if key == name:
+                return value
+    raise UnboundError(name)
 
 
-def declare_proc(procs: Env, name: str, body) -> Env:
-    return _declare(procs, name, body)
-
-
-def lookup_proc(procs: Env, name: str):
-    return _lookup(procs, name)
+declare_proc = declare_var
+lookup_proc = lookup_var
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +128,13 @@ def _render_frame(frame: Frame, show: Callable[[object], str]) -> str:
 
 
 def render_store(store: Env) -> str:
-    return "(" + ", ".join(_render_frame(f, value_text) for f in store) + ")"
+    return "(" + ", ".join(_render_frame(f, value_text)
+                           for f in store.frames) + ")"
 
 
 def render_procs(procs: Env) -> str:
-    return "(" + ", ".join(_render_frame(f, pretty) for f in procs) + ")"
+    return "(" + ", ".join(_render_frame(f, pretty)
+                           for f in procs.frames) + ")"
 
 
 def parse_store(text: str) -> Env:

@@ -131,14 +131,12 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
     depth = [0]
     edges: list[tuple[int, str, int]] = []
     unexpanded: set[int] = set()
-    truncated = False
     frontier = deque([0])
     while frontier:
         src = frontier.popleft()
         options = successors(nodes[src], reduce)
         if depth[src] >= max_depth:
             if options:
-                truncated = True
                 unexpanded.add(src)
             continue
         for step in options:
@@ -149,14 +147,13 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
             if dst == len(nodes):
                 if dst >= max_states:
                     del index[nxt]
-                    truncated = True
                     unexpanded.add(src)
                     continue
                 nodes.append(nxt)
                 depth.append(depth[src] + 1)
                 frontier.append(dst)
             edges.append((src, step.rule, dst))
-    return ReductionGraph(tuple(nodes), tuple(edges), truncated,
+    return ReductionGraph(tuple(nodes), tuple(edges), bool(unexpanded),
                           frozenset(unexpanded))
 
 

@@ -17,10 +17,16 @@ Each step is labeled with the root-to-axiom path of rule names, e.g.
 "Par1/Seq2/Assign"; expression-position descent contributes no component,
 the primitive expression steps carry Expr-* labels.
 
-Failed contractions (unbound names, redeclaration in the same scope,
-values of the wrong shape) produce no step: the configuration is stuck,
-`stuck_redexes` lists every offending redex and `diagnose` reports the
-first. There are no error transitions.
+Failed contractions (unbound names, redeclaration in the same scope, a
+pop of the global scope, values of the wrong shape) produce no step: the
+configuration is stuck, `stuck_redexes` lists every offending redex and
+`diagnose` reports the first. There are no error transitions. Every
+failure is at the redex being contracted, so the contractions name
+neither redex nor reason: a failed store operation's `EnvError` passes
+through them, an operand of the wrong shape raises `_StuckRedex`, and one
+handler in `_step_and_diagnose` turns either into the redex's
+`StuckInfo`, reading a store failure's reason from `_STORE_FAILURES` by
+the redex's class.
 
 `successors(c, reduce=True)` is the partial-order reduced relation used
 when only the leaves matter: it keeps a single step when that step is
@@ -36,7 +42,7 @@ FMSD 1996; Ip & Dill, FMSD 1996).
 from __future__ import annotations
 
 from . import env as envmod
-from .env import Env, RedeclError, ScopeError, UnboundError
+from .env import Env, EnvError
 from .syntax import (
     MAX_NUMERAL_DIGITS, Add, And, Begin, BeginScope, Call, Decl, Empty,
     EndScope, Eq, EvalContext, Expr, ExprStmt, FalseLit, If, Le, Mul, NatLit,
@@ -70,9 +76,7 @@ class StuckInfo:
 
 
 class _StuckRedex(Exception):
-    def __init__(self, at: Redex, reason: str):
-        self.info = StuckInfo(at, reason)
-        super().__init__(reason)
+    """The redex being contracted has an operand of the wrong shape."""
 
 
 class NumeralOverflow(Exception):
@@ -86,16 +90,6 @@ def is_terminal(c: Configuration) -> bool:
 
 # ---------------------------------------------------------------------------
 # Expression redexes
-
-def _resolve_var(store: Env, var: Var, hole: tuple[type, ...]) -> Expr:
-    try:
-        value = envmod.lookup_var(store, var.name)
-    except UnboundError:
-        raise _StuckRedex(var, f"unbound variable {var.name}") from None
-    if isinstance(value, hole):
-        return value
-    raise _StuckRedex(var, "operand of wrong shape")
-
 
 def _numeral(n: int) -> NatLit:
     if n >= _NUMERAL_LIMIT:
@@ -122,7 +116,10 @@ def contract_expr(store: Env, redex: Expr, hole: tuple[type, ...]) \
     strict in both operands."""
     cls = type(redex)
     if cls is Var:
-        return "Expr-Var", _resolve_var(store, redex, hole)
+        value = envmod.lookup_var(store, redex.name)
+        if isinstance(value, hole):
+            return "Expr-Var", value
+        raise _StuckRedex
     binary = _BINARY_AXIOMS.get(cls)
     if binary is not None:
         left, right = redex.left, redex.right
@@ -130,12 +127,12 @@ def contract_expr(store: Env, redex: Expr, hole: tuple[type, ...]) \
         if type(left) in operands and type(right) in operands:
             axiom, op = binary
             return axiom, op(left, right)
-        raise _StuckRedex(redex, "operand of wrong shape")
+        raise _StuckRedex
     if cls is Not:
         operand = type(redex.operand)
         if operand in BOOL_LITERALS:
             return "Expr-Not", FALSE if operand is TrueLit else TRUE
-        raise _StuckRedex(redex, "operand of wrong shape")
+        raise _StuckRedex
     raise TypeError(f"not an expression redex: {redex!r}")
 
 
@@ -157,10 +154,7 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
         -> tuple[str, Stmt, Env, Env]:
     cls = type(redex)
     if cls is Update:
-        try:
-            store2 = envmod.update_var(store, redex.name, redex.rhs)
-        except UnboundError:
-            raise _StuckRedex(redex, f"unbound variable {redex.name}") from None
+        store2 = envmod.update_var(store, redex.name, redex.rhs)
         return "Update", VOID_STMT, store2, procs
     elif cls is While:
         unfolded = If(redex.cond, Seq(redex.body, redex), VOID_STMT)
@@ -172,18 +166,9 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
         if cond is FalseLit:
             return "If-False", redex.else_branch, store, procs
     elif cls is Call:
-        try:
-            body = envmod.lookup_proc(procs, redex.name)
-        except UnboundError:
-            raise _StuckRedex(redex, f"unbound procedure {redex.name}") from None
-        return "Call", body, store, procs
+        return "Call", envmod.lookup_proc(procs, redex.name), store, procs
     elif cls is Decl:
-        try:
-            store2 = envmod.declare_var(store, redex.name, redex.rhs)
-        except RedeclError:
-            raise _StuckRedex(
-                redex, f"variable {redex.name} already declared in this scope"
-            ) from None
+        store2 = envmod.declare_var(store, redex.name, redex.rhs)
         return "Assign", VOID_STMT, store2, procs
     elif cls is Begin:
         return "Begin", _desugar_begin(redex), store, procs
@@ -191,10 +176,7 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
         store2, procs2 = envmod.push_scope(store, procs)
         return "BeginScope", VOID_STMT, store2, procs2
     elif cls is EndScope:
-        try:
-            store2, procs2 = envmod.pop_scope(store, procs)
-        except ScopeError:
-            raise _StuckRedex(redex, "cannot pop the global scope") from None
+        store2, procs2 = envmod.pop_scope(store, procs)
         return "EndScope", VOID_STMT, store2, procs2
     elif cls is Protect:
         return "Protect", Protected(redex.body), store, procs
@@ -202,12 +184,7 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
         if type(redex.body) is ValStmt:
             return "Protected", VOID_STMT, store, procs
     elif cls is ProcDecl:
-        try:
-            procs2 = envmod.declare_proc(procs, redex.name, redex.body)
-        except RedeclError:
-            raise _StuckRedex(
-                redex, f"procedure {redex.name} already declared in this scope"
-            ) from None
+        procs2 = envmod.declare_proc(procs, redex.name, redex.body)
         return "Proc", VOID_STMT, store, procs2
     elif cls is Seq:
         if type(redex.first) is ValStmt:
@@ -332,6 +309,19 @@ def _persistent(ctx: EvalContext, redex: Redex, contractum: Redex) -> bool:
     return True
 
 
+# Why a redex is stuck when the store operation of its axiom fails: an
+# unbound name, a name already declared in the deepest scope, or a pop of
+# the global scope. Each such redex class has one operation.
+_STORE_FAILURES = {
+    Var: "unbound variable {0.name}",
+    Update: "unbound variable {0.name}",
+    Call: "unbound procedure {0.name}",
+    Decl: "variable {0.name} already declared in this scope",
+    ProcDecl: "procedure {0.name} already declared in this scope",
+    EndScope: "cannot pop the global scope",
+}
+
+
 def _step_and_diagnose(c: Configuration, reduce: bool = False) \
         -> tuple[list[StepResult], list[StuckInfo]]:
     # Every redex is contracted before any is rebuilt, so that a reduced
@@ -346,8 +336,11 @@ def _step_and_diagnose(c: Configuration, reduce: bool = False) \
             else:
                 axiom, contractum, store2, procs2 = \
                     contract_stmt(c.store, c.procs, redex)
-        except _StuckRedex as failure:
-            stuck.append(failure.info)
+        except (EnvError, _StuckRedex) as failure:
+            reason = (_STORE_FAILURES[type(redex)].format(redex)
+                      if isinstance(failure, EnvError)
+                      else "operand of wrong shape")
+            stuck.append(StuckInfo(redex, reason))
             continue
         step = (ctx, contractum, axiom, store2, procs2)
         if reduce and _persistent(ctx, redex, contractum):

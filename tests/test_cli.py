@@ -469,6 +469,20 @@ class TestBenchmarkBoundaries:
             assert callable(getattr(sys.modules[module], attribute, None)), \
                 f"{module}.{attribute}"
 
+    def test_harness_self_check_passes(self):
+        # Among its checks: the tracer puts back every attribute it
+        # wrapped, also where two attributes name one function.
+        result = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--self-check"],
+            capture_output=True, text=True, env=_child_env(), cwd=ROOT)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.splitlines() == [
+            "PASS same seed gives byte-identical inputs",
+            "PASS shared-variable model agrees with whilelang outcomes",
+            "PASS a wrong reference fails its jobs",
+            "PASS tracer restores every wrapped attribute",
+        ]
+
 
 # A program is a few statements joined by `;` or `par`, with a few items
 # inserted anywhere: single tokens of the source vocabulary (ASCII and

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_symmetric_form
 from strategies import SEEDED_STORE, runtime_stmts
 from test_acceptance import ATOMIC_TEXT, ATOMIC_UNPROTECTED, PROTECT_RACE_TEXT
 
@@ -23,7 +24,7 @@ from whilelang.parser import parse_program
 from whilelang.semantics import Configuration, successors
 from whilelang.syntax import (
     Add, Begin, Call, Decl, Empty, If, Le, NatLit, Par, ProcDecl,
-    Protect, Protected, Seq, TypeName, Update, ValStmt, Var, While,
+    Protect, Protected, Seq, TrueLit, TypeName, Update, ValStmt, Var, While,
     symmetric_form,
 )
 
@@ -110,6 +111,21 @@ def test_separate_threads_exact_counts(tmp_path):
                                    "complete: true\n")
     assert cli.main(["graph", str(source), "--out", str(dot),
                      "--max-states", "200"]) == 4
+
+
+@pytest.mark.parametrize("text", [
+    "{ var Nat x := 1 } par { var Bool x := true }",
+    "{ var Bool x := true } par { var Nat x := 1 }",
+])
+def test_declarations_of_two_types_sort_by_type(text):
+    # Two sides of one class differ first in their type, so the order of
+    # type names decides which comes first.
+    c0 = conf(text)
+    bool_first = Par(Decl(TypeName.BOOL, "x", TrueLit()),
+                     Decl(TypeName.NAT, "x", NatLit(1)))
+    assert symmetric_form(c0.stmt) == oracle_symmetric_form(c0.stmt) \
+        == bool_first
+    assert assert_same_outcomes(c0)
 
 
 def test_call_on_other_side_blocks_reduction():

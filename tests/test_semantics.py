@@ -358,6 +358,43 @@ class TestStuckness:
         assert diagnose(c) is None
 
 
+# One configuration per reason a redex can be stuck, with the redex and the
+# exact text. The wrong-shape cases at an operator and under `not` are
+# runtime terms: the parser rejects a mis-sorted literal, and a variable of
+# the wrong shape is stuck at its `Var` before its operator is contracted.
+STUCK_REASONS = {
+    "unbound-var": (conf(ExprStmt(Add(Var("q"), NatLit(1)))),
+                    Var("q"), "unbound variable q"),
+    "unbound-update": (conf(Update("x", NatLit(1))),
+                       Update("x", NatLit(1)), "unbound variable x"),
+    "unbound-proc": (conf(Call("q")), Call("q"), "unbound procedure q"),
+    "var-redeclared": (conf(Decl(NAT, "x", NatLit(1)), nat_store(x=0)),
+                       Decl(NAT, "x", NatLit(1)),
+                       "variable x already declared in this scope"),
+    "proc-redeclared": (
+        conf(ProcDecl("p", Empty()), procs=Env((Frame((("p", VOID),)),))),
+        ProcDecl("p", Empty()), "procedure p already declared in this scope"),
+    "global-pop": (conf(EndScope()), EndScope(),
+                   "cannot pop the global scope"),
+    "shape-var": (conf(ExprStmt(Add(Var("y"), NatLit(1))),
+                       Env((Frame((("y", TrueLit()),)),))),
+                  Var("y"), "operand of wrong shape"),
+    "shape-binary": (conf(ExprStmt(Add(TrueLit(), NatLit(1)))),
+                     Add(TrueLit(), NatLit(1)), "operand of wrong shape"),
+    "shape-and": (conf(ExprStmt(And(NatLit(0), TrueLit()))),
+                  And(NatLit(0), TrueLit()), "operand of wrong shape"),
+    "shape-not": (conf(ExprStmt(Not(NatLit(0)))), Not(NatLit(0)),
+                  "operand of wrong shape"),
+}
+
+
+@pytest.mark.parametrize("c,at,reason", STUCK_REASONS.values(),
+                         ids=STUCK_REASONS.keys())
+def test_stuck_reason(c, at, reason):
+    assert successors(c) == []
+    assert diagnose(c) == oracle_diagnose(c) == StuckInfo(at, reason)
+
+
 STORE_PRESERVING_AXIOMS = {
     "If-True", "If-False", "While", "Begin", "Protect", "Protected",
     "Call", "Seq-discharge", "Empty",
