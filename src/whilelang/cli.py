@@ -135,7 +135,8 @@ def _initial_configuration(args, stmt) -> Configuration:
         except ValueError as err:
             raise _UsageError(
                 f"malformed store file {args.initial_store}: {err}") from None
-    return Configuration(store, Env(), stmt)
+    # The procedure store opens with one empty frame per store frame.
+    return Configuration(store, Env(Env().frames * store.depth()), stmt)
 
 
 def main(argv: list[str] | None = None) -> int:

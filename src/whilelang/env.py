@@ -1,8 +1,10 @@
 """Leveled variable and procedure stores.
 
 Both stores are non-empty stacks of frames; the first frame is the global
-scope and the last is the deepest, most recently opened level. Every
-operation returns fresh values, inputs are never mutated.
+scope and the last is the deepest, most recently opened level. A frame is
+the tuple of its `(name, value)` bindings in the order they were declared,
+and only this module reads or builds one. Every operation returns fresh
+values, inputs are never mutated.
 
 Lookup and update bind to the deepest frame containing the name; a
 declaration targets the deepest frame only and refuses a name already bound
@@ -41,35 +43,8 @@ class ScopeError(EnvError):
 
 
 @record
-class Frame:
-    entries: tuple[tuple[str, object], ...] = ()
-
-    def get(self, name: str):
-        for key, value in self.entries:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    # `__contains__` and `rebind` run on every update and declaration, so
-    # they use a plain loop and a list comprehension, not generator
-    # expressions.
-    def __contains__(self, name: str) -> bool:
-        for key, _ in self.entries:
-            if key == name:
-                return True
-        return False
-
-    def bind(self, name: str, value) -> "Frame":
-        return Frame(self.entries + ((name, value),))
-
-    def rebind(self, name: str, value) -> "Frame":
-        return Frame(tuple([(k, value if k == name else v)
-                            for k, v in self.entries]))
-
-
-@record
 class Env:
-    frames: tuple[Frame, ...] = (Frame(),)
+    frames: tuple[tuple[tuple[str, object], ...], ...] = ((),)
 
     def depth(self) -> int:
         return len(self.frames)
@@ -77,7 +52,7 @@ class Env:
 
 def push_scope(store: Env, procs: Env) -> tuple[Env, Env]:
     """Open a new empty level on both stores."""
-    return (Env(store.frames + (Frame(),)), Env(procs.frames + (Frame(),)))
+    return (Env(store.frames + ((),)), Env(procs.frames + ((),)))
 
 
 def pop_scope(store: Env, procs: Env) -> tuple[Env, Env]:
@@ -90,25 +65,29 @@ def pop_scope(store: Env, procs: Env) -> tuple[Env, Env]:
 def declare_var(store: Env, name: str, value) -> Env:
     """Bind `name` in the deepest frame, which must not bind it yet."""
     deepest = store.frames[-1]
-    if name in deepest:
-        raise RedeclError(name)
-    return Env(store.frames[:-1] + (deepest.bind(name, value),))
+    for key, _ in deepest:
+        if key == name:
+            raise RedeclError(name)
+    return Env(store.frames[:-1] + (deepest + ((name, value),),))
 
 
 def update_var(store: Env, name: str, value: Value) -> Env:
     """Rebind the deepest occurrence of `name`; never creates a binding."""
     frames = store.frames
     for i in range(len(frames) - 1, -1, -1):
-        if name in frames[i]:
-            return Env(frames[:i] + (frames[i].rebind(name, value),)
-                       + frames[i + 1:])
+        frame = frames[i]
+        for j, (key, _) in enumerate(frame):
+            if key == name:
+                return Env(frames[:i]
+                           + (frame[:j] + ((name, value),) + frame[j + 1:],)
+                           + frames[i + 1:])
     raise UnboundError(name)
 
 
 def lookup_var(store: Env, name: str):
     """The value of the deepest binding of `name`."""
     for frame in reversed(store.frames):
-        for key, value in frame.entries:
+        for key, value in frame:
             if key == name:
                 return value
     raise UnboundError(name)
@@ -123,8 +102,8 @@ lookup_proc = lookup_var
 # frames oldest to newest inside parentheses, entries in insertion order,
 # e.g. "({a=3, b=5}, {a=4})".
 
-def _render_frame(frame: Frame, show: Callable[[object], str]) -> str:
-    return "{" + ", ".join(f"{k}={show(v)}" for k, v in frame.entries) + "}"
+def _render_frame(frame: tuple, show: Callable[[object], str]) -> str:
+    return "{" + ", ".join(f"{k}={show(v)}" for k, v in frame) + "}"
 
 
 def render_store(store: Env) -> str:
@@ -142,7 +121,7 @@ def parse_store(text: str) -> Env:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"store must be wrapped in parentheses: {_excerpt(text)}")
-    frames: list[Frame] = []
+    frames = []
     rest = body[1:-1].strip()
     while rest:
         if not rest.startswith("{"):
@@ -163,7 +142,7 @@ def parse_store(text: str) -> Env:
     return Env(tuple(frames))
 
 
-def _parse_frame(body: str) -> Frame:
+def _parse_frame(body: str) -> tuple:
     entries: dict[str, Value] = {}
     body = body.strip()
     if body:
@@ -176,7 +155,7 @@ def _parse_frame(body: str) -> Frame:
             if name in entries:
                 raise ValueError(f"duplicate binding {_excerpt(name)}")
             entries[name] = _parse_value(raw)
-    return Frame(tuple(entries.items()))
+    return tuple(entries.items())
 
 
 def _excerpt(text: str) -> str:

@@ -61,12 +61,6 @@ class Trace:
     steps: tuple[tuple[str, Configuration], ...]
     status: Status
 
-    def configurations(self) -> list[Configuration]:
-        return [self.origin] + [c for _, c in self.steps]
-
-    def rules(self) -> list[str]:
-        return [rule for rule, _ in self.steps]
-
 
 def run(c0: Configuration, schedule: str = "first", seed: int = 0,
         max_steps: int = DEFAULT_MAX_STEPS) -> Trace:

@@ -194,7 +194,7 @@ def scan_lookup(env: Env, name: str):
     """Deepest-binding lookup by scanning one frame at a time."""
     hit = None
     for frame in env.frames:
-        for key, value in frame.entries:
+        for key, value in frame:
             if key == name:
                 hit = value
     return hit

@@ -7,7 +7,7 @@ from whilelang.syntax import (
     FalseLit, If, Le, Mul, NatLit, Not, Par, ProcDecl, Protect, Protected,
     Seq, Sub, TrueLit, TypeName, Update, ValStmt, Var, VoidV, While,
 )
-from whilelang.env import Env, Frame
+from whilelang.env import Env
 
 VAR_POOL = ["a", "b", "c", "x", "y", "z", "w"]
 PROC_POOL = ["p", "q", "f", "g"]
@@ -118,13 +118,13 @@ parfree_runtime_stmts = st.recursive(
 
 # A store binding the whole pool, so generated programs take many steps
 # before hitting an unbound name.
-SEEDED_STORE = Env((Frame((
+SEEDED_STORE = Env(((
     ("a", NatLit(1)), ("b", NatLit(2)), ("c", NatLit(0)),
     ("x", NatLit(3)), ("y", TrueLit()), ("z", FalseLit()), ("w", NatLit(5)),
-)),))
+),))
 
 stores = st.lists(
     st.lists(st.tuples(names, values), max_size=4, unique_by=lambda k: k[0])
-    .map(lambda entries: Frame(tuple(entries))),
+    .map(tuple),
     min_size=1, max_size=3,
 ).map(lambda frames: Env(tuple(frames)))

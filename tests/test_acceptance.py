@@ -20,7 +20,7 @@ from strategies import (
     source_stmts,
 )
 
-from whilelang.env import Env, parse_store, render_store
+from whilelang.env import Env, lookup_var, parse_store, render_store
 from whilelang.explorer import (
     Stuck, Terminated, explore, outcomes, run, to_dot, to_json_trace,
 )
@@ -86,7 +86,8 @@ def _golden_trace():
 @announce(1, "golden block trace passes the exact store column")
 def test_criterion_1_golden_trace():
     trace = timed(1.0, _golden_trace)
-    stores = [render_store(c.store) for c in trace.configurations()]
+    stores = [render_store(c.store)
+              for c in [trace.origin] + [c for _, c in trace.steps]]
     deduped = [stores[0]] + [s for prev, s in zip(stores, stores[1:])
                              if s != prev]
     assert deduped == GOLDEN_STORES
@@ -153,7 +154,7 @@ def _final_nat_values(text):
     finals = set()
     for _, store in summary.terminals:
         env = parse_store(store)
-        finals.add(env.frames[0].get("x").n)
+        finals.add(lookup_var(env, "x").n)
     return finals
 
 
@@ -245,7 +246,7 @@ def test_criterion_5_scope_balance(stmt, schedule):
 @given(parfree_source_stmts)
 def test_criterion_5_parfree_single_successor(stmt):
     trace = _bounded_trace(stmt)
-    for conf in trace.configurations():
+    for conf in [trace.origin] + [c for _, c in trace.steps]:
         assert len(successors(conf)) <= 1
 
 
@@ -254,12 +255,12 @@ def test_criterion_5_parfree_single_successor(stmt):
 @given(source_stmts)
 def test_criterion_5_monus_safety(stmt):
     trace = _bounded_trace(stmt)
-    for conf in trace.configurations():
+    for conf in [trace.origin] + [c for _, c in trace.steps]:
         for node in _iter_nodes(conf.stmt):
             if isinstance(node, NatLit):
                 assert node.n >= 0
         for frame in conf.store.frames:
-            for _, value in frame.entries:
+            for _, value in frame:
                 if isinstance(value, NatLit):
                     assert value.n >= 0
 

@@ -22,6 +22,11 @@ from whilelang.parser import KEYWORDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# A block that declares and calls a procedure, run from a store of two
+# frames: the procedure store must hold as many frames as the store.
+TWO_FRAME_PROGRAM = "begin proc p is x := x + 1; call p end"
+TWO_FRAME_STORE = "({x=1}, {x=5})"
+
 
 def _child_env(**overrides):
     env = dict(os.environ)
@@ -147,6 +152,15 @@ class TestTrace:
             "({a=3, b=2})",
         ]
         assert lines[-1]["status"] == "terminated"
+
+    def test_store_file_sets_the_depth_of_both_stores(self, tmp_program,
+                                                      store_file):
+        r = whilelang("trace", tmp_program(TWO_FRAME_PROGRAM),
+                      "--initial-store", store_file(TWO_FRAME_STORE))
+        assert r.returncode == 0
+        lines = [json.loads(line) for line in r.stdout.splitlines()[:-1]]
+        assert [(x["store"].count("{"), x["procs"].count("{"))
+                for x in lines] == [(n, n) for n in (2, 3, 3, 3, 3, 3, 3, 2)]
 
 
 class TestGraphAndOutcomes:
@@ -616,16 +630,23 @@ def _python310():
 
 
 class TestOldestPython:
-    def test_frontend_under_python_310(self, tmp_program):
+    def test_frontend_under_python_310(self, tmp_program, store_file):
         exe = _python310()
         if exe is None:
             pytest.skip("no Python 3.10 interpreter found")
-        paths = [str(p) for p in sorted((ROOT / "programs").glob("**/*.whl"))]
+        corpus = [str(p) for p in sorted((ROOT / "programs").glob("**/*.whl"))]
         # A parse error after blanks, and a type error.
-        paths += [tmp_program("x := 1 \x0b\t$", "bad-char.whl"),
-                  tmp_program("var Nat x := 1;\r\n  x := true", "bad-type.whl")]
+        paths = corpus + [
+            tmp_program("x := 1 \x0b\t$", "bad-char.whl"),
+            tmp_program("var Nat x := 1;\r\n  x := true", "bad-type.whl")]
         argvs = [argv for path in paths for argv in (
             ["parse", path], ["check", path, "--emit-derivation"])]
+        # The run path: the trace and the outcomes of each corpus program,
+        # and a run from a store file of two frames.
+        argvs += [[command, path] for path in corpus
+                  for command in ("trace", "outcomes")]
+        argvs.append(["run", tmp_program(TWO_FRAME_PROGRAM),
+                      "--initial-store", store_file(TWO_FRAME_STORE)])
         namespace = {}
         exec(_CLI_RESULTS, namespace)
         expected = namespace["cli_results"](argvs)
@@ -637,4 +658,6 @@ class TestOldestPython:
             env=_child_env(PYTHONIOENCODING="utf-8"), cwd=ROOT)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == expected
-        assert [code for code, _, _ in expected].count(0) == 2 * len(paths) - 3
+        # Parse and check of the two bad files fail three times, and the
+        # traces of the two counterexamples end stuck.
+        assert [code for code, _, _ in expected].count(0) == len(argvs) - 5

@@ -8,7 +8,7 @@ from strategies import names, stores, values
 from oracles import scan_lookup
 
 from whilelang.env import (
-    Env, Frame, RedeclError, ScopeError, UnboundError, declare_proc,
+    Env, RedeclError, ScopeError, UnboundError, declare_proc,
     declare_var, lookup_proc, lookup_var, parse_store, pop_scope,
     push_scope, render_store, update_var,
 )
@@ -16,7 +16,7 @@ from whilelang.syntax import Update, NatLit
 
 
 def store_of(*frames) -> Env:
-    return Env(tuple(Frame(tuple((k, NatLit(v)) for k, v in f)) for f in frames))
+    return Env(tuple(tuple((k, NatLit(v)) for k, v in f) for f in frames))
 
 
 class TestScopes:
@@ -30,7 +30,7 @@ class TestScopes:
 
     def test_pop_keeps_outer_changes(self):
         store = store_of([("a", 3), ("b", 2)], [("a", 4)])
-        procs = Env((Frame(), Frame()))
+        procs = Env(((), ()))
         store2, procs2 = pop_scope(store, procs)
         assert render_store(store2) == "({a=3, b=2})"
         assert procs2.depth() == 1
@@ -85,10 +85,9 @@ class TestUpdateLookup:
 class TestProcs:
     def test_declare_and_lookup(self):
         body = Update("r", NatLit(4))
-        procs = declare_proc(Env((Frame(), Frame())), "z", body)
+        procs = declare_proc(Env(((), ())), "z", body)
         assert lookup_proc(procs, "z") == body
-        assert "z" in procs.frames[-1]
-        assert "z" not in procs.frames[0]
+        assert procs.frames == ((), (("z", body),))
 
     def test_redeclaration_fails(self):
         procs = declare_proc(Env(), "z", Update("r", NatLit(4)))
@@ -98,7 +97,7 @@ class TestProcs:
     def test_deepest_binding_wins(self):
         inner = Update("r", NatLit(1))
         outer = Update("r", NatLit(2))
-        procs = Env((Frame((("z", outer),)), Frame((("z", inner),))))
+        procs = Env(((("z", outer),), (("z", inner),)))
         assert lookup_proc(procs, "z") == inner
 
     def test_lookup_unbound(self):
@@ -129,12 +128,12 @@ class TestProperties:
         assert got.depth() == store.depth()
         # no other binding moved
         for before, after in zip(store.frames, got.frames):
-            assert [k for k, _ in before.entries] == [k for k, _ in after.entries]
+            assert [k for k, _ in before] == [k for k, _ in after]
 
     @settings(max_examples=200)
     @given(stores, names, values)
     def test_shadowing_push_declare_pop(self, store, name, value):
-        procs = Env(tuple(Frame() for _ in store.frames))
+        procs = Env(tuple(() for _ in store.frames))
         inner_store, inner_procs = push_scope(store, procs)
         declared = declare_var(inner_store, name, value)
         assert lookup_var(declared, name) == value
@@ -144,7 +143,7 @@ class TestProperties:
     @settings(max_examples=200)
     @given(stores, names, values)
     def test_declare_never_touches_existing_frames(self, store, name, value):
-        if name in store.frames[-1]:
+        if name in dict(store.frames[-1]):
             with pytest.raises(RedeclError):
                 declare_var(store, name, value)
             return
@@ -157,8 +156,8 @@ class TestPurity:
     @settings(max_examples=150)
     @given(stores, names, values)
     def test_operations_never_mutate_inputs(self, store, name, value):
-        snapshot = Env(tuple(Frame(tuple(f.entries)) for f in store.frames))
-        procs = Env(tuple(Frame() for _ in store.frames))
+        snapshot = Env(tuple(tuple(f) for f in store.frames))
+        procs = Env(tuple(() for _ in store.frames))
         push_scope(store, procs)
         try:
             declare_var(store, name, value)
@@ -215,4 +214,4 @@ class TestRendering:
         with pytest.raises(ValueError, match="not a value"):
             parse_store("({a=" + "9" * 4301 + "})")
         assert parse_store("({a=" + "9" * 4300 + "})") == \
-            Env((Frame((("a", NatLit(int("9" * 4300))),)),))
+            Env(((("a", NatLit(int("9" * 4300))),),))

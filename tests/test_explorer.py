@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dfs_reachable_renderings, oracle_explore, render_config
@@ -13,16 +13,16 @@ from strategies import (
 )
 from test_reduction import par_programs
 
-from whilelang.env import Env, Frame, parse_store, render_procs, render_store
+from whilelang.env import Env, parse_store, render_procs, render_store
 from whilelang.explorer import (
     BudgetExceeded, Stuck, Terminated, explore, outcomes, run, to_dot,
     to_json_trace,
 )
 from whilelang.parser import parse_program
-from whilelang.semantics import Configuration
+from whilelang.semantics import Configuration, NumeralOverflow
 from whilelang.syntax import (
-    EXPR_CLASSES, Empty, NatLit, Par, Printer, Seq, Update, ValStmt, Var,
-    VoidV, pretty, pretty_expr, value_text,
+    EXPR_CLASSES, Empty, Mul, NatLit, Par, Printer, Seq, TrueLit, Update,
+    ValStmt, Var, VoidV, While, pretty, pretty_expr, value_text,
 )
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -47,8 +47,9 @@ GOLDEN_STORES = [
 class TestRun:
     def test_block_trace_stores_and_rules(self):
         t = run(conf(GOLDEN_BLOCK, "({a=3, b=5})"))
-        assert t.rules() == ["Begin", "Seq2/BeginScope", "Seq2/Assign",
-                             "Seq2/Update", "EndScope"]
+        assert [rule for rule, _ in t.steps] == [
+            "Begin", "Seq2/BeginScope", "Seq2/Assign", "Seq2/Update",
+            "EndScope"]
         assert [render_store(c.store) for _, c in t.steps] == GOLDEN_STORES
         assert t.status == Terminated(VoidV())
 
@@ -80,10 +81,10 @@ class TestRun:
 
     def test_first_schedule_prefers_left_par_side(self):
         c = Configuration(
-            Env((Frame((("x", NatLit(0)),)),)), Env(),
+            Env(((("x", NatLit(0)),),)), Env(),
             Par(Update("x", NatLit(1)), Update("x", NatLit(2))))
         t = run(c)
-        assert t.rules()[0].startswith("Par2")
+        assert t.steps[0][0].startswith("Par2")
 
 
 class TestExplore:
@@ -314,9 +315,18 @@ def _plain_dot_node_lines(g):
 
 
 def _assert_exports_match_plain_printing(c, max_steps, max_states):
-    t = run(c, max_steps=max_steps)
-    assert to_json_trace(t) == _plain_trace(t)
-    g = explore(c, max_states=max_states)
+    # A run or an exploration that ends in `NumeralOverflow` has nothing to
+    # export; the other one is still checked.
+    try:
+        t = run(c, max_steps=max_steps)
+    except NumeralOverflow:
+        pass
+    else:
+        assert to_json_trace(t) == _plain_trace(t)
+    try:
+        g = explore(c, max_states=max_states)
+    except NumeralOverflow:
+        return
     lines = to_dot(g).splitlines()
     assert lines[1:1 + len(g.nodes)] == _plain_dot_node_lines(g)
 
@@ -335,6 +345,8 @@ class TestSharedSubtermPrinting:
 
     @settings(max_examples=200, deadline=None)
     @given(runtime_stmts)
+    # Squares b = 2 until the numeral overflows, within both budgets.
+    @example(While(TrueLit(), Update("b", Mul(Var("b"), Var("b")))))
     def test_runtime_statements(self, stmt):
         c = Configuration(SEEDED_STORE, Env(), stmt)
         _assert_exports_match_plain_printing(c, 200, 200)

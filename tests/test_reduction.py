@@ -18,7 +18,7 @@ from strategies import SEEDED_STORE, runtime_stmts
 from test_acceptance import ATOMIC_TEXT, ATOMIC_UNPROTECTED, PROTECT_RACE_TEXT
 
 from whilelang import cli
-from whilelang.env import Env, Frame, parse_store
+from whilelang.env import Env, parse_store
 from whilelang.explorer import explore, outcomes
 from whilelang.parser import parse_program
 from whilelang.semantics import Configuration, successors
@@ -142,7 +142,7 @@ def test_region_brought_to_the_head_is_not_persistent(head):
     # that blocks the other side: taking that step alone would lose x=6.
     body = Update("x", Add(Var("x"), NatLit(1)))
     stmt = Par(Seq(head, Protected(body)), Update("x", NatLit(5)))
-    c0 = Configuration(Env((Frame((("x", NatLit(0)),)),)), Env(), stmt)
+    c0 = Configuration(Env(((("x", NatLit(0)),),)), Env(), stmt)
     assert len(successors(c0, reduce=True)) == 2
     assert assert_same_outcomes(c0)
 

@@ -13,7 +13,7 @@ from strategies import (
 )
 
 from whilelang import env, explorer, semantics, syntax, typesys
-from whilelang.env import Env, Frame, render_store
+from whilelang.env import Env, render_store
 from whilelang.explorer import (
     BudgetExceeded, OutcomeSet, ReductionGraph, Stuck, Terminated, Trace,
     explore,
@@ -41,7 +41,7 @@ def conf(stmt, store=None, procs=None) -> Configuration:
 
 
 def nat_store(**bindings) -> Env:
-    return Env((Frame(tuple((k, NatLit(v)) for k, v in bindings.items())),))
+    return Env((tuple((k, NatLit(v)) for k, v in bindings.items()),))
 
 
 def expr_step(store, e):
@@ -124,7 +124,7 @@ class TestExprStep:
         assert info.at == Var("q")
 
     def test_bool_value_in_arithmetic_hole_is_stuck(self):
-        store = Env((Frame((("y", TrueLit()),)),))
+        store = Env(((("y", TrueLit()),),))
         info = expr_step(store, Add(Var("y"), NatLit(1)))
         assert info.reason == "operand of wrong shape"
 
@@ -134,7 +134,7 @@ class TestExprStep:
         assert info.reason == "operand of wrong shape"
 
     def test_any_hole_accepts_both_shapes(self):
-        store = Env((Frame((("y", TrueLit()), ("n", NatLit(2)))),))
+        store = Env(((("y", TrueLit()), ("n", NatLit(2))),))
         assert expr_step(store, Var("y"))[1] == TrueLit()
         assert expr_step(store, Var("n"))[1] == NatLit(2)
 
@@ -197,7 +197,7 @@ class TestStatementRules:
 
     def test_call_substitutes_body(self):
         body = Update("w", NatLit(1))
-        procs = Env((Frame((("z", body),)),))
+        procs = Env(((("z", body),),))
         [step] = successors(conf(Call("z"), nat_store(w=0), procs))
         assert (step.rule, step.next.stmt) == ("Call", body)
         assert step.next.store == nat_store(w=0)
@@ -319,7 +319,7 @@ class TestStuckness:
         assert diagnose(conf(Call("q"))).reason == "unbound procedure q"
 
     def test_wrong_shape_operand_via_bool_variable(self):
-        store = Env((Frame((("y", TrueLit()), ("x", NatLit(0)))),))
+        store = Env(((("y", TrueLit()), ("x", NatLit(0))),))
         c = conf(Update("x", Add(Var("y"), NatLit(1))), store)
         assert successors(c) == []
         assert diagnose(c).reason == "operand of wrong shape"
@@ -331,7 +331,7 @@ class TestStuckness:
         Update("x", Var("v")),
     ], ids=["arith-hole", "bool-hole", "any-hole"])
     def test_void_bound_variable_fills_no_hole(self, stmt):
-        store = Env((Frame((("v", VoidV()), ("x", NatLit(0)))),))
+        store = Env(((("v", VoidV()), ("x", NatLit(0))),))
         c = conf(stmt, store)
         assert successors(c) == []
         assert diagnose(c).reason == "operand of wrong shape"
@@ -372,12 +372,12 @@ STUCK_REASONS = {
                        Decl(NAT, "x", NatLit(1)),
                        "variable x already declared in this scope"),
     "proc-redeclared": (
-        conf(ProcDecl("p", Empty()), procs=Env((Frame((("p", VOID),)),))),
+        conf(ProcDecl("p", Empty()), procs=Env(((("p", VOID),),))),
         ProcDecl("p", Empty()), "procedure p already declared in this scope"),
     "global-pop": (conf(EndScope()), EndScope(),
                    "cannot pop the global scope"),
     "shape-var": (conf(ExprStmt(Add(Var("y"), NatLit(1))),
-                       Env((Frame((("y", TrueLit()),)),))),
+                       Env(((("y", TrueLit()),),))),
                   Var("y"), "operand of wrong shape"),
     "shape-binary": (conf(ExprStmt(Add(TrueLit(), NatLit(1)))),
                      Add(TrueLit(), NatLit(1)), "operand of wrong shape"),
@@ -466,8 +466,7 @@ def _one_of_each():
         yield cls(*[None] * len(fields(cls)))
     c = Configuration(Env(), Env(), VOID)
     info = StuckInfo(VOID, "no applicable reduction")
-    yield from (Frame((("x", NatLit(1)),)), Env(), c, StepResult("Seq2", c),
-                info)
+    yield from (Env(), c, StepResult("Seq2", c), info)
     gamma, delta = TypeEnv((("x", NAT),)), ProcTypeEnv()
     yield from (gamma, delta,
                 Judgment("T-Empty", gamma, delta, Empty(), TypeName.CMD,
@@ -506,7 +505,7 @@ RECORD_FIELDS = {
     Par: ("left", "right"), Protect: ("body",), Protected: ("body",),
     BeginScope: (), EndScope: (), ExprStmt: ("expr",), ValStmt: ("value",),
     Empty: (),
-    Frame: ("entries",), Env: ("frames",),
+    Env: ("frames",),
     Configuration: ("store", "procs", "stmt"), StepResult: ("rule", "next"),
     StuckInfo: ("at", "reason"),
     TypeEnv: ("bindings",), ProcTypeEnv: ("entries",),
@@ -517,7 +516,7 @@ RECORD_FIELDS = {
     ReductionGraph: ("nodes", "edges", "truncated", "unexpanded"),
     OutcomeSet: ("terminals", "stuck", "complete"),
 }
-RECORD_DEFAULTS = {Frame: ((),), Env: ((Frame(),),), TypeEnv: ((),),
+RECORD_DEFAULTS = {Env: (((),),), TypeEnv: ((),),
                    ProcTypeEnv: ((),), Judgment: ((),)}
 
 
