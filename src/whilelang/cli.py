@@ -13,11 +13,21 @@ partial-order and symmetry reduced one, which has the same leaves, so its
 `--max-states`/`--max-depth` budgets count canonical states (par sides in
 sorted order). Its stuck lines list every stuck redex of each stuck leaf;
 `run` and `trace` report the first.
+
+`main` builds its argument parser once per process (`parse_args` leaves
+it as it was, so one serves every call) and runs each command with the
+cyclic garbage collector off, restoring the caller's setting on every
+exit. Records are frozen and built bottom-up, so they never form a cycle,
+and no command leaves cyclic garbage (tests/test_cli.py checks each
+command and exit code): a collection would only traverse every retained
+state and free nothing that reference counting does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -60,6 +70,7 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="whilelang",
@@ -140,6 +151,8 @@ def _initial_configuration(args, stmt) -> Configuration:
 
 
 def main(argv: list[str] | None = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _main(argv)
     except _UsageError as err:
@@ -155,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumeralOverflow as err:
         print(f"whilelang: error: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _main(argv: list[str] | None) -> int:

@@ -299,5 +299,10 @@ def render_derivation(j: Judgment) -> str:
         for child in node.children:
             walk(child, depth + 1)
 
-    walk(j, 0)
+    try:
+        walk(j, 0)
+    finally:
+        # `walk` reaches itself through its closure cell; emptying the cell
+        # leaves no cycle for the collector.
+        del walk
     return "\n".join(lines) + "\n"

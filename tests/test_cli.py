@@ -1,6 +1,7 @@
 """End-to-end command-line runs: via subprocess, and in process for the
-exit-code fuzz test."""
+exit-code fuzz test, the collector tests and parser reuse."""
 
+import gc
 import glob
 import hashlib
 import importlib.util
@@ -597,6 +598,151 @@ class TestExitCodeContract:
         assert (r.returncode, r.stdout, r.stderr) == (0, stdout, "")
 
 
+# Programs for the in-process runs below, by name; an argument "{name}"
+# stands for the path of that program, "{absent}" for a missing file.
+MAIN_PROGRAMS = {
+    "block": "var Nat x := 1;"
+             " begin var Nat y := 2; proc p is x := x + y; call p end",
+    "par": "var Nat x := 0; { {x := x + 1} par {x := x + 2} }",
+    "bad": "x := ",
+    "ill": "var Nat x := true",
+    "unbound": "x := 1",
+    "loop": "var Nat x := 0; while true do x := x + 1",
+    "deep": parenthesized_one(5000),
+    "squaring": TestNumeralBound.SQUARING,
+}
+
+# Every command, and every exit path: (argv, exit code).
+MAIN_CASES = {
+    "parse": (["parse", "{block}"], 0),
+    "check": (["check", "{block}"], 0),
+    "check-derivation": (["check", "{block}", "--emit-derivation"], 0),
+    "run": (["run", "{block}"], 0),
+    "trace": (["trace", "{block}"], 0),
+    "graph": (["graph", "{par}"], 0),
+    "outcomes": (["outcomes", "{par}"], 0),
+    "parse-error": (["check", "{bad}", "--emit-derivation"], 1),
+    "type-error": (["check", "{ill}", "--emit-derivation"], 2),
+    "checked-type-error": (["trace", "{ill}", "--checked"], 2),
+    "stuck": (["trace", "{unbound}"], 3),
+    "step-budget": (["run", "{loop}", "--max-steps", "50"], 4),
+    "state-budget": (["outcomes", "{par}", "--max-states", "2"], 4),
+    "recursion-limit": (["check", "{deep}"], 4),
+    "numeral-overflow": (["run", "{squaring}", "--max-steps", "1000"], 4),
+    "bad-flag": (["run", "{block}", "--max-steps", "0"], 5),
+    "unknown-command": (["frob", "{block}"], 5),
+    "unreadable-file": (["parse", "{absent}"], 5),
+}
+
+
+@pytest.fixture
+def main_argv(tmp_path):
+    """Fills the program paths into an argv of MAIN_CASES."""
+    paths = {"absent": str(tmp_path / "absent.whl")}
+    for name, text in MAIN_PROGRAMS.items():
+        paths[name] = str(tmp_path / f"{name}.whl")
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    return lambda argv: [arg.format_map(paths) for arg in argv]
+
+
+@pytest.fixture
+def collector():
+    """Puts the collector back as it was before the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def quiet_main(argv):
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        return cli.main(argv)
+
+
+class TestCyclicCollector:
+    """`main` runs each command with the collector off, because records
+    never form a cycle: no command leaves cyclic garbage, so the collector
+    would free nothing. It restores the caller's setting on every exit."""
+
+    @pytest.mark.parametrize("argv,code", MAIN_CASES.values(),
+                             ids=MAIN_CASES.keys())
+    def test_no_cyclic_garbage(self, collector, main_argv, argv, code):
+        argv = main_argv(argv)
+        # The argument parser is built once per process, not per command.
+        cli._build_parser()
+        gc.disable()
+        gc.collect()
+        assert quiet_main(argv) == code
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv,code", MAIN_CASES.values(),
+                             ids=MAIN_CASES.keys())
+    def test_off_during_the_command_and_restored_after(
+            self, collector, monkeypatch, main_argv, argv, code, enabled):
+        seen, original = [], cli.parse_program
+
+        def parse_program(text):
+            seen.append(gc.isenabled())
+            return original(text)
+
+        monkeypatch.setattr(cli, "parse_program", parse_program)
+        (gc.enable if enabled else gc.disable)()
+        assert quiet_main(main_argv(argv)) == code
+        assert gc.isenabled() is enabled
+        # Usage errors end before the program is read.
+        assert seen == ([] if code == 5 else [False])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv", [["--help"], ["trace", "--help"]],
+                             ids=["top", "trace"])
+    def test_help_restores_the_callers_setting(self, collector, argv,
+                                               enabled):
+        (gc.enable if enabled else gc.disable)()
+        out = StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 0
+        assert out.getvalue().startswith("usage: whilelang")
+        assert gc.isenabled() is enabled
+
+
+class TestParserReuse:
+    def test_in_process_calls_match_fresh_processes(self, main_argv):
+        # Usage errors between valid commands, all through one parser.
+        argvs = [main_argv(argv) for argv in [
+            ["frob", "{block}"],
+            ["parse", "{block}"],
+            ["run", "{block}", "--max-steps", "0"],
+            ["run", "{block}", "--max-steps", "7"],
+            ["trace"],
+            ["check", "{block}", "--emit-derivation"],
+            ["graph", "{par}", "--max-depth", "x", "--max-states", "9"],
+            ["graph", "{par}", "--max-states", "9"],
+            ["outcomes", "{absent}"],
+            ["outcomes", "{par}"],
+            ["trace", "{block}", "--schedule", "fair"],
+            ["trace", "{par}", "--schedule", "random", "--seed", "3"],
+            ["check", "{block}", "--bogus"],
+            ["check", "{block}"],
+        ]]
+        in_process = []
+        for argv in argvs:
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            in_process.append((code, out.getvalue(), err.getvalue()))
+        fresh = []
+        for argv in argvs:
+            r = subprocess.run(
+                [sys.executable, "-m", "whilelang.cli", *argv],
+                capture_output=True, text=True, encoding="utf-8",
+                env=_child_env(PYTHONIOENCODING="utf-8"), cwd=ROOT)
+            fresh.append((r.returncode, r.stdout, r.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [
+            5, 0, 5, 4, 5, 0, 5, 4, 5, 0, 5, 0, 5, 0]
+
+
 # Runs whilelang's CLI in process on each argument list; `cli_results`
 # returns [exit code, stdout, stderr] for each.
 _CLI_RESULTS = """
@@ -639,7 +785,10 @@ class TestOldestPython:
         paths = corpus + [
             tmp_program("x := 1 \x0b\t$", "bad-char.whl"),
             tmp_program("var Nat x := 1;\r\n  x := true", "bad-type.whl")]
-        argvs = [argv for path in paths for argv in (
+        # Two usage errors first, so that every later call reuses the
+        # argument parser after an error.
+        argvs = [["frob", corpus[0]], ["run", corpus[0], "--max-steps", "0"]]
+        argvs += [argv for path in paths for argv in (
             ["parse", path], ["check", path, "--emit-derivation"])]
         # The run path: the trace and the outcomes of each corpus program,
         # and a run from a store file of two frames.
@@ -658,6 +807,7 @@ class TestOldestPython:
             env=_child_env(PYTHONIOENCODING="utf-8"), cwd=ROOT)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == expected
-        # Parse and check of the two bad files fail three times, and the
-        # traces of the two counterexamples end stuck.
-        assert [code for code, _, _ in expected].count(0) == len(argvs) - 5
+        # The two usage errors, parse and check of the two bad files (three
+        # failures), and the traces of the two counterexamples, which end
+        # stuck.
+        assert [code for code, _, _ in expected].count(0) == len(argvs) - 7

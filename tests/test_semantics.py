@@ -37,7 +37,11 @@ VOID = ValStmt(VoidV())
 
 
 def conf(stmt, store=None, procs=None) -> Configuration:
-    return Configuration(store or Env(), procs or Env(), stmt)
+    """The procedure store defaults to one empty frame per store frame, as
+    the CLI starts it."""
+    store = store or Env()
+    return Configuration(store, procs or Env(Env().frames * store.depth()),
+                         stmt)
 
 
 def nat_store(**bindings) -> Env:
