@@ -29,15 +29,20 @@ boolean. An expression is read straight into the syntax nodes, and its
 sorts are checked once it is read, root first and left to right: the first
 node of the wrong sort is the one reported.
 
-The scanner is one regular expression, run over the whole source before
-parsing, so a bad character is reported before any syntax error. Each of
-its matches is the run of blanks before a token and the token itself, so
-blanks cost no match of their own, and each token is built as a plain
-tuple of the `Token` class, without the named tuple's Python-level
-constructor. Unicode
-spellings of the operators (≤ ∧ ¬ −) are accepted, but numerals are up to
-4300 ASCII digits and names ASCII letters, digits and '_'. Comments run
-from '//' to the end of the line.
+The parser reads the source as a list of token texts, taken by one
+`findall`: each match skips the blanks, line ends and comments before a
+token and keeps the token's text, and "" stands for end of input. A
+token's kind follows from its text, since no name or numeral is spelt as a
+keyword or a symbol, so the parser compares texts and builds no token.
+Only the distinct texts are checked: a character that starts no token, or
+a numeral over 4300 digits, sends the source to `tokenize`, which reports
+it, so a bad character is reported before any syntax error. Positions are
+found only for a diagnostic: the parser reports an error at a token's
+index, and `tokenize`, which runs the same scan and counts lines, gives
+that token's line and column. Unicode spellings of the operators
+(≤ ∧ ¬ −) are accepted, but numerals are up to 4300 ASCII digits and
+names ASCII letters, digits and '_'. Comments run from '//' to the end of
+the line.
 
 The runtime-only keywords (beginscope, endscope, protected) are reserved
 and rejected in source.
@@ -46,7 +51,6 @@ and rejected in source.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .syntax import (
@@ -64,28 +68,27 @@ KEYWORDS = {
     "Nat", "Bool", "Cmd",
 } | RUNTIME_KEYWORDS
 
+_SYMBOLS = (":=", "<=", ";", "{", "}", "(", ")", "+", "-", "*", "=")
+
 _ALIASES = {"≤": "<=", "∧": "and", "¬": "not", "−": "-"}
+
+# The text of every keyword and symbol, and "" for end of input; any other
+# text the scan takes is a name, a numeral, an alias or a bad character.
+_SPELT = KEYWORDS | set(_SYMBOLS) | {""}
 
 _WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# Each match is a run of blanks and then one token, or the end of input.
-# A blank is a character `str.isspace` accepts, '\n' excepted; each
-# character but '\n' is a column. Alternatives are tried in order. `bad`
-# takes any other non-blank character, so the blanks never backtrack into
-# it, and `end` takes blanks at the end of input, so finditer never
-# searches through them.
-_TOKEN = re.compile(r"""
-    [^\S\n]*
-    (?: (?P<word>""" + _WORD.pattern + r""")
-      | (?P<symbol>:=|<=|[;{}()+*=-])
-      | (?P<number>[0-9]+)
-      | (?P<newline>\n)
-      | (?P<comment>//[^\n]*)
-      | (?P<alias>[≤∧¬−])
-      | (?P<bad>\S)
-      | (?P<end>\Z)
-    )
-""", re.VERBOSE)
+# The one scan of source text. Each match skips blanks (characters
+# `str.isspace` accepts), line ends and comments, then takes one token's
+# text: a word, a symbol, a numeral, an alias, a character that starts no
+# token, or "" at end of input. No two tokens start with the same
+# character, so only the last two alternatives need their place.
+_TEXT = re.compile(r"\s*(?://[^\n]*\s*)*(" + "|".join([
+    _WORD.pattern, *map(re.escape, _SYMBOLS), "[0-9]+",
+    "[" + "".join(_ALIASES) + "]", r"\S", r"\Z"]) + ")")
+
+_NAME_OR_NUMERAL = re.compile(
+    _WORD.pattern + f"|[0-9]{{1,{MAX_NUMERAL_DIGITS}}}")
 
 
 def is_identifier(name: str) -> bool:
@@ -116,39 +119,56 @@ class Token(NamedTuple):
     column: int
 
 
-# What Token._make does, without its Python-level call.
-_new_tuple = tuple.__new__
-
-
 def tokenize(source: str) -> list[Token]:
+    """Each token of `source` with its kind, line and column, then end of
+    input; raises at the first bad character or numeral over the bound."""
     tokens: list[Token] = []
     line, line_start = 1, 0
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-            continue
-        if kind == "comment" or kind == "end":
-            continue
-        text = match.group(kind)
-        col = match.start(kind) - line_start + 1
-        if kind == "word":
-            kind = "keyword" if text in KEYWORDS else "ident"
-        elif kind == "number" and len(text) > MAX_NUMERAL_DIGITS:
+    for match in _TEXT.finditer(source):
+        start = match.start(1)
+        breaks = source.count("\n", match.start(), start)
+        if breaks:
+            line += breaks
+            line_start = source.rindex("\n", match.start(), start) + 1
+        text = match[1]
+        if not text:
+            break
+        col = start - line_start + 1
+        text = _ALIASES.get(text, text)
+        if text in KEYWORDS:
+            kind = "keyword"
+        elif text in _SPELT:
+            kind = "symbol"
+        elif _NAME_OR_NUMERAL.fullmatch(text) is not None:
+            kind = "number" if text.isdigit() else "ident"
+        elif len(text) > MAX_NUMERAL_DIGITS:
             raise ParseError(f"numeral over {MAX_NUMERAL_DIGITS} digits", line, col)
-        elif kind == "alias":
-            text = _ALIASES[text]
-            kind = "keyword" if text.isalpha() else "symbol"
-        elif kind == "bad":
+        else:
             raise ParseError(f"unexpected character {text!r}", line, col)
-        tokens.append(_new_tuple(Token, (kind, text, line, col)))
+        tokens.append(Token(kind, text, line, col))
     # A comment does not advance the column, so end of input sits where a
     # comment on the last line starts: its first '//', since any other '/'
     # is a bad character.
     column = len(source[line_start:].partition("//")[0]) + 1
     tokens.append(Token("eof", "", line, column))
     return tokens
+
+
+def _texts(source: str) -> list[str] | None:
+    """The text of each token `tokenize` gives for `source`, "" for end of
+    input last; None where `tokenize` reports an error."""
+    texts = _TEXT.findall(source)
+    # After blanks or a comment at the end, end of input matches twice: as
+    # the text of the match that skips them, and as an empty match after it.
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()
+    distinct = set(texts)
+    if not all(map(_NAME_OR_NUMERAL.fullmatch,
+                   distinct.difference(_SPELT, _ALIASES))):
+        return None
+    if distinct.isdisjoint(_ALIASES):
+        return texts
+    return [_ALIASES.get(text, text) for text in texts]
 
 
 # A token's text alone tells a keyword or a symbol: no name is spelt as one.
@@ -158,61 +178,67 @@ _SORTS = {cls: row[5] for cls, row in OPERATORS.items()} | {
     NatLit: NAT, TrueLit: BOOL, FalseLit: BOOL, Not: BOOL}
 
 
-@dataclass
 class _Parser:
-    tokens: list[Token]
-    pos: int = field(default=0)
-    # The token of each expression node a sort error can point at, keyed by
-    # id(); each entry holds its node, so no other object can take the id.
-    positions: dict[int, tuple[Expr, Token]] = field(default_factory=dict)
+    """Reads the texts `_texts` gives for `source`."""
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def __init__(self, source: str, texts: list[str]) -> None:
+        self.source = source
+        self.texts = texts
+        self.pos = 0
+        # The token index of each expression node a sort error can point
+        # at, keyed by id(); each entry holds its node, so no other object
+        # can take the id.
+        self.positions: dict[int, tuple[Expr, int]] = {}
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def at(self, text: str) -> bool:
+        return self.texts[self.pos] == text
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            self.fail(frozenset({text}))
         self.pos += 1
-        return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        shown = text or ("identifier" if kind == "ident" else kind)
-        self.fail(frozenset({shown}))
+    def name(self) -> str:
+        text = self.texts[self.pos]
+        if text in _SPELT or text.isdigit():
+            self.fail(frozenset({"identifier"}))
+        self.pos += 1
+        return text
 
     def fail(self, expected: frozenset[str], message: str | None = None):
-        tok = self.peek()
+        text = self.texts[self.pos]
         if message is None:
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            message = f"unexpected {shown!r}"
-            if tok.kind == "keyword" and tok.text in RUNTIME_KEYWORDS:
-                message = f"runtime-only keyword {tok.text!r} is not allowed in source"
-        raise ParseError(message, tok.line, tok.column, expected)
+            message = f"unexpected {text or 'end of input'!r}"
+            if text in RUNTIME_KEYWORDS:
+                message = f"runtime-only keyword {text!r} is not allowed in source"
+        raise self.error(self.pos, message, expected)
+
+    def error(self, index: int, message: str,
+              expected: frozenset[str] = frozenset()) -> ParseError:
+        """The error at the token of `index`, placed by `tokenize`."""
+        tok = tokenize(self.source)[index]
+        return ParseError(message, tok.line, tok.column, expected)
 
     # -- statements ---------------------------------------------------------
 
     def parse_program(self) -> Stmt:
         stmt = self.parse_stmt()
-        if not self.at("eof"):
+        if self.texts[self.pos]:
             self.fail(frozenset({";", "par", "end of input"}))
         return stmt
 
     def parse_stmt(self) -> Stmt:
         stmt = self.parse_seq()
-        while self.at("keyword", "par"):
-            self.advance()
+        while self.at("par"):
+            self.pos += 1
             stmt = Par(stmt, self.parse_seq())
         return stmt
 
     def parse_seq(self) -> Stmt:
         # A loop, not recursion: a long straight line costs no stack.
         stmts = [self.parse_simple()]
-        while self.at("symbol", ";"):
-            self.advance()
+        while self.at(";"):
+            self.pos += 1
             stmts.append(self.parse_simple())
         stmt = stmts.pop()
         while stmts:
@@ -220,81 +246,78 @@ class _Parser:
         return stmt
 
     def parse_simple(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == "keyword":
-            match tok.text:
-                case "var":
-                    return self.parse_decl()
-                case "if":
-                    self.advance()
-                    cond = self.parse_expr(BOOL)
-                    self.expect("keyword", "then")
-                    then_branch = self.parse_simple()
-                    self.expect("keyword", "else")
-                    return If(cond, then_branch, self.parse_simple())
-                case "while":
-                    self.advance()
-                    cond = self.parse_expr(BOOL)
-                    self.expect("keyword", "do")
-                    return While(cond, self.parse_simple())
-                case "begin":
-                    return self.parse_begin()
-                case "proc":
-                    name = self.parse_proc().name
-                    raise ParseError(
-                        f"procedure declaration {name!r} outside a begin block",
-                        tok.line, tok.column)
-                case "call":
-                    self.advance()
-                    return Call(self.expect("ident").text)
-                case "protect":
-                    self.advance()
-                    body = self.parse_stmt()
-                    self.expect("keyword", "end")
-                    return Protect(body)
-        if tok.kind == "symbol" and tok.text == "{":
-            self.advance()
-            inner = self.parse_stmt()
-            self.expect("symbol", "}")
-            return inner
-        if tok.kind == "ident":
-            name = self.advance().text
-            self.expect("symbol", ":=")
-            return Update(name, self.parse_expr())
+        text = self.texts[self.pos]
+        if text not in _SPELT and not text.isdigit():
+            self.pos += 1
+            self.expect(":=")
+            return Update(text, self.parse_expr())
+        match text:
+            case "var":
+                return self.parse_decl()
+            case "if":
+                self.pos += 1
+                cond = self.parse_expr(BOOL)
+                self.expect("then")
+                then_branch = self.parse_simple()
+                self.expect("else")
+                return If(cond, then_branch, self.parse_simple())
+            case "while":
+                self.pos += 1
+                cond = self.parse_expr(BOOL)
+                self.expect("do")
+                return While(cond, self.parse_simple())
+            case "begin":
+                return self.parse_begin()
+            case "proc":
+                index = self.pos
+                name = self.parse_proc().name
+                raise self.error(
+                    index, f"procedure declaration {name!r} outside a begin block")
+            case "call":
+                self.pos += 1
+                return Call(self.name())
+            case "protect":
+                self.pos += 1
+                body = self.parse_stmt()
+                self.expect("end")
+                return Protect(body)
+            case "{":
+                self.pos += 1
+                inner = self.parse_stmt()
+                self.expect("}")
+                return inner
         self.fail(frozenset({"var", "if", "while", "begin", "call",
                              "protect", "{", "identifier"}))
 
     def parse_decl(self) -> Decl:
-        self.expect("keyword", "var")
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("Nat", "Bool", "Cmd"):
-            self.advance()
-            type_name = TypeName(tok.text)
-        else:
+        self.expect("var")
+        text = self.texts[self.pos]
+        if text not in ("Nat", "Bool", "Cmd"):
             self.fail(frozenset({"Nat", "Bool", "Cmd"}))
-        name = self.expect("ident").text
-        self.expect("symbol", ":=")
-        return Decl(type_name, name, self.parse_expr())
+        self.pos += 1
+        name = self.name()
+        self.expect(":=")
+        return Decl(TypeName(text), name, self.parse_expr())
 
     def parse_proc(self) -> ProcDecl:
-        self.expect("keyword", "proc")
-        name = self.expect("ident").text
-        self.expect("keyword", "is")
+        self.expect("proc")
+        name = self.name()
+        self.expect("is")
         return ProcDecl(name, self.parse_simple())
 
     def parse_begin(self) -> Begin:
-        self.expect("keyword", "begin")
+        self.expect("begin")
         decls: list[Decl] = []
-        while self.at("keyword", "var"):
+        while self.at("var"):
             decls.append(self.parse_decl())
-            if self.at("symbol", ";"):
-                self.advance()
+            if self.at(";"):
+                self.pos += 1
         procs: list[ProcDecl] = []
-        while self.at("keyword", "proc"):
+        while self.at("proc"):
             procs.append(self.parse_proc())
-            if self.at("symbol", ";"):
-                self.advance()
-        if self.at("keyword", "end"):
+            if self.at(";"):
+                self.pos += 1
+        if self.at("end"):
             # Every item was a declaration; the grammar still requires a
             # body, so the final variable declaration is it.
             if procs or not decls:
@@ -303,7 +326,7 @@ class _Parser:
             body: Stmt = decls.pop()
         else:
             body = self.parse_stmt()
-        self.expect("keyword", "end")
+        self.expect("end")
         return Begin(tuple(decls), tuple(procs), body)
 
     # -- expressions --------------------------------------------------------
@@ -315,40 +338,42 @@ class _Parser:
         self.check_sort(e, sort or _SORTS.get(type(e)))
         return e
 
-    def placed(self, e: Expr, tok: Token) -> Expr:
-        self.positions[id(e)] = (e, tok)
+    def placed(self, e: Expr, index: int) -> Expr:
+        self.positions[id(e)] = (e, index)
         return e
 
     def parse_binary(self, level: int) -> Expr:
         """Precedence climbing: the longest expression from here whose
         operators outside parentheses are at `level` or tighter."""
         left, left_level = self.parse_unary(), NOT_LEVEL
-        while (cls := _BY_SYMBOL.get(self.peek().text)) is not None:
+        while (cls := _BY_SYMBOL.get(self.texts[self.pos])) is not None:
             _, own, left_operand, right_operand, _, _ = OPERATORS[cls]
             if own < level or left_operand > left_level:
                 break
-            tok = self.advance()
-            left = self.placed(cls(left, self.parse_binary(right_operand)), tok)
+            index = self.pos
+            self.pos = index + 1
+            left = self.placed(cls(left, self.parse_binary(right_operand)), index)
             left_level = own
         return left
 
     def parse_unary(self) -> Expr:
         # Each literal is a fresh node, so each has its own position.
-        tok = self.advance()
-        text = tok.text
-        if tok.kind == "ident":
+        index = self.pos
+        text = self.texts[index]
+        self.pos = index + 1
+        if text not in _SPELT:
+            if text.isdigit():
+                return self.placed(NatLit(int(text)), index)
             return Var(text)
-        if tok.kind == "number":
-            return self.placed(NatLit(int(text)), tok)
         if text == "not":
-            return self.placed(Not(self.parse_unary()), tok)
+            return self.placed(Not(self.parse_unary()), index)
         if text == "true" or text == "false":
-            return self.placed(TrueLit() if text == "true" else FalseLit(), tok)
+            return self.placed(TrueLit() if text == "true" else FalseLit(), index)
         if text == "(":
             inner = self.parse_binary(0)
-            self.expect("symbol", ")")
+            self.expect(")")
             return inner
-        self.pos -= 1
+        self.pos = index
         self.fail(frozenset({"number", "identifier", "true", "false", "("}))
 
     def check_sort(self, e: Expr, sort: TypeName | None) -> None:
@@ -358,11 +383,10 @@ class _Parser:
         if own is None:
             return
         if own is not sort:
-            tok = self.positions[id(e)][1]
             message = ("arithmetic expression in boolean position"
                        if sort is BOOL
                        else "boolean expression in arithmetic position")
-            raise ParseError(message, tok.line, tok.column)
+            raise self.error(self.positions[id(e)][1], message)
         row = OPERATORS.get(type(e))
         if row is not None:
             self.check_sort(e.left, row[4])
@@ -373,4 +397,7 @@ class _Parser:
 
 def parse_program(text: str) -> Stmt:
     """Parse a source program; raises ParseError with position and expectations."""
-    return _Parser(tokenize(text)).parse_program()
+    texts = _texts(text)
+    if texts is None:
+        tokenize(text)  # raises at the bad character or the long numeral
+    return _Parser(text, texts).parse_program()

@@ -781,9 +781,16 @@ class TestOldestPython:
         if exe is None:
             pytest.skip("no Python 3.10 interpreter found")
         corpus = [str(p) for p in sorted((ROOT / "programs").glob("**/*.whl"))]
-        # A parse error after blanks, and a type error.
+        # Operator aliases, a file that ends in a comment, a parse error
+        # after blanks, a syntax error after a comment, and a type error.
         paths = corpus + [
+            tmp_program("var Nat x := 2 − 1;\nvar Bool b := ¬ (x ≤ 1) ∧ true",
+                        "aliases.whl"),
+            tmp_program("var Nat x := 1;\n  x := x + 1 // done",
+                        "end-comment.whl"),
             tmp_program("x := 1 \x0b\t$", "bad-char.whl"),
+            tmp_program("// first\r\nvar Nat x := 1;\r\n  x := x + // c\n",
+                        "comment-then-error.whl"),
             tmp_program("var Nat x := 1;\r\n  x := true", "bad-type.whl")]
         # Two usage errors first, so that every later call reuses the
         # argument parser after an error.
@@ -807,7 +814,7 @@ class TestOldestPython:
             env=_child_env(PYTHONIOENCODING="utf-8"), cwd=ROOT)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == expected
-        # The two usage errors, parse and check of the two bad files (three
+        # The two usage errors, parse and check of the three bad files (five
         # failures), and the traces of the two counterexamples, which end
         # stuck.
-        assert [code for code, _, _ in expected].count(0) == len(argvs) - 7
+        assert [code for code, _, _ in expected].count(0) == len(argvs) - 9

@@ -13,11 +13,13 @@ from oracles import (
     oracle_parse_program, oracle_pretty, oracle_pretty_expr,
     oracle_redex_positions, oracle_tokenize,
 )
+from test_cli import _load_perfbench
 
 from whilelang.env import Env
 from whilelang.explorer import explore
 from whilelang.parser import (
-    KEYWORDS, ParseError, Token, is_identifier, parse_program, tokenize,
+    KEYWORDS, ParseError, Token, _texts, is_identifier, parse_program,
+    tokenize,
 )
 from whilelang.semantics import Configuration
 from whilelang.syntax import (
@@ -195,6 +197,38 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="runtime-only keyword"):
             parse_program("beginscope")
 
+    @pytest.mark.parametrize("text,position,message", [
+        # after comments, Unicode operator spellings and \r\n line ends
+        ("// note\nx := 1 +", (2, 9), "unexpected 'end of input'"),
+        ("x := 1 // a\n y := 2", (2, 2), "unexpected 'y'"),
+        ("// a\r\n// b\r\n  x := 1 − true", (3, 12),
+         "boolean expression in arithmetic position"),
+        ("x := 1; // c\r\n  y := ¬ 1 ≤ 2", (2, 8),
+         "boolean expression in arithmetic position"),
+        ("x := (1 − 2) ∧ ¬ true", (1, 9),
+         "arithmetic expression in boolean position"),
+        ("var Nat x := 1;\r\n// c\r\nx := x ≤ 1 + true", (3, 14),
+         "boolean expression in arithmetic position"),
+        ("if x ≤ 1 then // c\r\n x := 2 ∧ else y := 1", (2, 11),
+         "unexpected 'else'"),
+        ("while ¬ x do\r\n\t// c\r\n\tcall", (3, 6),
+         "unexpected 'end of input'"),
+        # a syntax error before a bad character: the character comes first
+        ("x := ; $", (1, 8), "unexpected character '$'"),
+        ("x := (// c\n ; 1 ≤ ²", (2, 8), "unexpected character '²'"),
+        # a sort error is placed by the index of its token
+        ("// c\n\tx := 1 +\r\n  true", (3, 3),
+         "boolean expression in arithmetic position"),
+        ("x := 1;\n  y := 2 * (3 − false)", (2, 17),
+         "boolean expression in arithmetic position"),
+        ("x := true ∧ // c\r\n 7", (2, 2),
+         "arithmetic expression in boolean position"),
+    ])
+    def test_error_matches_oracle(self, text, position, message):
+        got = _parse(parse_program, text)
+        assert got == _parse(oracle_parse_program, text)
+        assert got[1:4] == (message, *position)
+
 
 # Pieces of source text for the differential tokenizer test: tokens of
 # every class, comment starts, line ends and other whitespace, the Unicode
@@ -283,6 +317,54 @@ class TestTokenizeMatchesOracle:
     ])
     def test_is_identifier(self, name, expected):
         assert is_identifier(name) is expected
+
+
+def _assert_text_scan_matches_tokenize(text):
+    try:
+        expected = [tok.text for tok in tokenize(text)]
+    except ParseError:
+        expected = None
+    assert _texts(text) == expected
+
+
+class TestTextScanMatchesTokenize:
+    # The parser reads the token texts of one findall, and takes the
+    # positioned `tokenize` only where that reports an error (None here).
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=30).map("".join))
+    def test_token_soup(self, text):
+        _assert_text_scan_matches_tokenize(text)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES + BLANK_PIECES * 4),
+                    max_size=30).map("".join))
+    def test_blank_heavy_soup(self, text):
+        _assert_text_scan_matches_tokenize(text)
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("**/*.whl")),
+                             ids=lambda p: p.name)
+    def test_sample_programs(self, path):
+        _assert_text_scan_matches_tokenize(path.read_text("utf-8"))
+
+    def test_frontend_pool_programs(self):
+        workloads = _load_perfbench("workloads")
+        for index in range(workloads.FRONTEND_POOL):
+            text, _ = workloads.frontend_program(index)
+            _assert_text_scan_matches_tokenize(text)
+
+    @pytest.mark.parametrize("ending", [
+        "", "\n", " ", "\t \r", "\xa0", "   \n  ", "// note", "//",
+        "// note\n", "\n//", "// a\n// b", "$", "9" * 4301,
+    ])
+    @pytest.mark.parametrize("before", ["", "x", "x := 1", "x := 1 ≤"])
+    def test_endings(self, before, ending):
+        # End of input matches once more, empty, after a match that skips
+        # trailing blanks or a comment; the text scan keeps one "".
+        text = before + ending
+        _assert_text_scan_matches_tokenize(text)
+        texts = _texts(text)
+        assert texts is None or texts.count("") == 1
 
 
 def _parse(parser, text):
