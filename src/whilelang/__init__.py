@@ -13,8 +13,8 @@ from .explorer import (
 )
 from .parser import ParseError, parse_program
 from .semantics import (
-    Configuration, StepResult, StuckInfo, diagnose, is_terminal,
-    protected_pred, successors,
+    Configuration, StuckInfo, diagnose, is_terminal, protected_pred,
+    successors,
 )
 from .syntax import (
     AExp, Add, And, BExp, Begin, BeginScope, Call, Decl, Empty, EndScope,

@@ -57,6 +57,7 @@ Status = Union[Terminated, Stuck, BudgetExceeded]
 
 @record
 class Trace:
+    """A run from `origin`; each step is a `(rule, configuration)` pair."""
     origin: Configuration
     steps: tuple[tuple[str, Configuration], ...]
     status: Status
@@ -68,8 +69,11 @@ def run(c0: Configuration, schedule: str = "first", seed: int = 0,
 
     "first" always takes the first successor (the left par side steps
     before the right); "random" draws uniformly with a fixed-seed generator
-    so reruns reproduce the trace.
+    so reruns reproduce the trace. `Trace.steps` holds each chosen
+    `(rule, configuration)` pair of `successors` as it is.
     """
+    if max_steps < 1:
+        raise ValueError("budgets must be at least 1")
     if schedule not in ("first", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed)
@@ -84,8 +88,8 @@ def run(c0: Configuration, schedule: str = "first", seed: int = 0,
         if len(steps) >= max_steps:
             return Trace(c0, tuple(steps), BudgetExceeded())
         chosen = options[0] if schedule == "first" else rng.choice(options)
-        steps.append((chosen.rule, chosen.next))
-        current = chosen.next
+        steps.append(chosen)
+        current = chosen[1]
 
 
 @record
@@ -133,8 +137,8 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
             if options:
                 unexpanded.add(src)
             continue
-        for step in options:
-            nxt = _symmetric(step.next) if reduce else step.next
+        for rule, nxt in options:
+            nxt = _symmetric(nxt) if reduce else nxt
             # One hash and lookup per successor: a new state takes the
             # next index, and the entry is taken back if the budget is full.
             dst = index.setdefault(nxt, len(nodes))
@@ -146,7 +150,7 @@ def explore(c0: Configuration, max_states: int = DEFAULT_MAX_STATES,
                 nodes.append(nxt)
                 depth.append(depth[src] + 1)
                 frontier.append(dst)
-            edges.append((src, step.rule, dst))
+            edges.append((src, rule, dst))
     return ReductionGraph(tuple(nodes), tuple(edges), bool(unexpanded),
                           frozenset(unexpanded))
 

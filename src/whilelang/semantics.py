@@ -13,9 +13,10 @@ where the sequencing and parallelism rules apply:
   otherwise the composition is rebuilt (Par1/Par3); a side may only step
   while the opposite side is not inside an atomic region.
 
-Each step is labeled with the root-to-axiom path of rule names, e.g.
-"Par1/Seq2/Assign"; expression-position descent contributes no component,
-the primitive expression steps carry Expr-* labels.
+A step is the `(rule, configuration)` pair that `Trace.steps` holds. Its
+rule is the root-to-axiom path of rule names, e.g. "Par1/Seq2/Assign";
+expression-position descent adds no component, and the primitive
+expression steps carry Expr-* labels.
 
 Failed contractions (unbound names, redeclaration in the same scope, a
 pop of the global scope, values of the wrong shape) produce no step: the
@@ -61,12 +62,6 @@ class Configuration:
     store: Env
     procs: Env
     stmt: Stmt
-
-
-@record
-class StepResult:
-    rule: str
-    next: Configuration
 
 
 @record
@@ -196,10 +191,11 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
     raise TypeError(f"not a statement redex: {redex!r}")
 
 
-def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
+def _rebuild(ctx: EvalContext, filled: Redex, axiom: str, store: Env,
+             procs: Env) -> tuple[str, Configuration]:
     """Wrap the contractum back up through the context, applying the value
-    collapses of the sequencing and parallelism rules and collecting the
-    rule-name path."""
+    collapses of the sequencing and parallelism rules, into the step: the
+    rule-name path and the configuration with the given stores."""
     components: list[str] = []
     current = filled
     for node, field in reversed(ctx):
@@ -222,7 +218,7 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str) -> tuple[str, Stmt]:
         current = plug_frame(node, field, current)
     components.reverse()
     components.append(axiom)
-    return "/".join(components), current
+    return "/".join(components), Configuration(store, procs, current)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +319,7 @@ _STORE_FAILURES = {
 
 
 def _step_and_diagnose(c: Configuration, reduce: bool = False) \
-        -> tuple[list[StepResult], list[StuckInfo]]:
+        -> tuple[list[tuple[str, Configuration]], list[StuckInfo]]:
     # Every redex is contracted before any is rebuilt, so that a reduced
     # step rebuilds only the step it keeps.
     contracted = []
@@ -347,10 +343,7 @@ def _step_and_diagnose(c: Configuration, reduce: bool = False) \
             contracted = [step]
             break
         contracted.append(step)
-    results = []
-    for ctx, contractum, axiom, store2, procs2 in contracted:
-        rule, stmt2 = _rebuild(ctx, contractum, axiom)
-        results.append(StepResult(rule, Configuration(store2, procs2, stmt2)))
+    results = [_rebuild(*step) for step in contracted]
     if not results and not stuck and not is_terminal(c):
         # Named by its symmetric form, so that the order of par sides,
         # which reduced exploration does not keep, does not show.
@@ -359,8 +352,9 @@ def _step_and_diagnose(c: Configuration, reduce: bool = False) \
     return results, stuck
 
 
-def successors(c: Configuration, reduce: bool = False) -> list[StepResult]:
-    """The labeled one-step reducts of a configuration.
+def successors(c: Configuration, reduce: bool = False) \
+        -> list[tuple[str, Configuration]]:
+    """The steps from a configuration, as `(rule, configuration)` pairs.
 
     Empty for terminal configurations, and also for stuck ones; use
     `diagnose` to tell the two apart and name the offender. By default the

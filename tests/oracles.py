@@ -17,7 +17,7 @@ from whilelang.parser import (
     KEYWORDS, RUNTIME_KEYWORDS, ParseError, Token, tokenize,
 )
 from whilelang.semantics import (
-    Configuration, NumeralOverflow, StepResult, StuckInfo, successors,
+    Configuration, NumeralOverflow, StuckInfo, successors,
 )
 from whilelang.typesys import (
     Judgment, TypeCheckError, env_diff, env_union,
@@ -371,8 +371,8 @@ def dfs_reachable_renderings(c0: Configuration, limit: int = 100_000):
         seen[key] = c
         if len(seen) > limit:
             raise RuntimeError("oracle exploration blew its budget")
-        for step in successors(c):
-            stack.append(step.next)
+        for _, nxt in successors(c):
+            stack.append(nxt)
     return seen
 
 
@@ -403,10 +403,10 @@ def oracle_explore(c0: Configuration, max_states: int, max_depth: int,
                 truncated = True
                 unexpanded.add(src)
             continue
-        for step in options:
-            target = canonical(step.next)
+        for rule, nxt in options:
+            target = canonical(nxt)
             if target in index:
-                edges.append((src, step.rule, index[target]))
+                edges.append((src, rule, index[target]))
                 continue
             if len(nodes) >= max_states:
                 truncated = True
@@ -415,7 +415,7 @@ def oracle_explore(c0: Configuration, max_states: int, max_depth: int,
             index[target] = len(nodes)
             depth[len(nodes)] = depth[src] + 1
             nodes.append(target)
-            edges.append((src, step.rule, index[target]))
+            edges.append((src, rule, index[target]))
             frontier.append(index[target])
     return tuple(nodes), tuple(edges), truncated, frozenset(unexpanded)
 
@@ -757,7 +757,7 @@ def oracle_step(c: Configuration, reduce: bool):
     results = []
     for ctx, contractum, axiom, store2, procs2 in contracted:
         rule, stmt2 = _oracle_rebuild(ctx, contractum, axiom)
-        results.append(StepResult(rule, Configuration(store2, procs2, stmt2)))
+        results.append((rule, Configuration(store2, procs2, stmt2)))
     if not results and not stuck and not isinstance(c.stmt, ValStmt):
         stuck.append(StuckInfo(oracle_symmetric_form(c.stmt),
                                "no applicable reduction"))

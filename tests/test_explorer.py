@@ -19,7 +19,7 @@ from whilelang.explorer import (
     to_json_trace,
 )
 from whilelang.parser import parse_program
-from whilelang.semantics import Configuration, NumeralOverflow
+from whilelang.semantics import Configuration, NumeralOverflow, successors
 from whilelang.syntax import (
     EXPR_CLASSES, Empty, Mul, NatLit, Par, Printer, Seq, TrueLit, Update,
     ValStmt, Var, VoidV, While, pretty, pretty_expr, value_text,
@@ -85,6 +85,32 @@ class TestRun:
             Par(Update("x", NatLit(1)), Update("x", NatLit(2))))
         t = run(c)
         assert t.steps[0][0].startswith("Par2")
+
+
+class TestStepsAreSuccessorPairs:
+    """`Trace.steps` holds the `(rule, configuration)` pairs `successors`
+    gives: under "first" the first pair of each configuration before it,
+    under "random" one of its pairs, each a plain tuple."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(PROGRAMS.glob("**/*.whl")),
+        ids=lambda p: str(p.relative_to(PROGRAMS)))
+    def test_corpus(self, path):
+        c = Configuration(Env(), Env(),
+                          parse_program(path.read_text(encoding="utf-8")))
+        t = run(c)
+        befores = [t.origin, *[nxt for _, nxt in t.steps]][:len(t.steps)]
+        assert list(t.steps) == [successors(x)[0] for x in befores]
+        traces = [t] + [run(c, schedule="random", seed=seed)
+                        for seed in range(5)]
+        for t in traces:
+            before = t.origin
+            for step in t.steps:
+                assert type(step) is tuple and len(step) == 2
+                rule, nxt = step
+                assert type(rule) is str and type(nxt) is Configuration
+                assert step in successors(before)
+                before = nxt
 
 
 class TestExplore:
@@ -156,15 +182,22 @@ class TestExplore:
         with pytest.raises(ValueError):
             explore(conf("x := 1"), max_states=0)
 
+    def test_run_budget_validated(self):
+        loop = conf("var Nat x := 0; while true do x := 1")
+        for max_steps in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                run(loop, max_steps=max_steps)
+        t = run(loop, max_steps=1)
+        assert len(t.steps) == 1
+        assert t.status == BudgetExceeded()
+
     def test_edges_sound_and_complete(self):
-        from whilelang.semantics import successors
         c = conf("var Nat x := 0; { x := 1 par { x := x + 2; x := 5 } }")
         g = explore(c)
         assert not g.truncated
         index = {n: i for i, n in enumerate(g.nodes)}
         for i, node in enumerate(g.nodes):
-            expected = {(step.rule, index[step.next])
-                        for step in successors(node)}
+            expected = {(rule, index[nxt]) for rule, nxt in successors(node)}
             actual = {(rule, dst) for src, rule, dst in g.edges if src == i}
             assert actual == expected
 

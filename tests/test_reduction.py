@@ -230,8 +230,8 @@ def _reordering(c0, max_states):
     """Whether some successor in the reduced graph is not in symmetric
     form, so that reduction merged or reshaped a state."""
     for node in explore(c0, max_states=max_states, reduce=True).nodes:
-        for step in successors(node, True):
-            if symmetric_form(step.next.stmt) is not step.next.stmt:
+        for _, nxt in successors(node, True):
+            if symmetric_form(nxt.stmt) is not nxt.stmt:
                 return True
     return False
 

@@ -20,8 +20,8 @@ from whilelang.explorer import (
 )
 from whilelang.parser import parse_program
 from whilelang.semantics import (
-    Configuration, StepResult, StuckInfo, diagnose, is_terminal,
-    protected_pred, successors,
+    Configuration, StuckInfo, diagnose, is_terminal, protected_pred,
+    successors,
 )
 from whilelang.syntax import (
     Add, And, Begin, BeginScope, Call, Decl, Empty, EndScope, Eq, Expr,
@@ -55,8 +55,8 @@ def expr_step(store, e):
     steps = successors(c)
     if not steps:
         return diagnose(c)
-    [step] = steps
-    return step.rule, step.next.stmt.expr
+    [(rule, nxt)] = steps
+    return rule, nxt.stmt.expr
 
 
 class TestProtectedPredicate:
@@ -106,8 +106,8 @@ class TestExprStep:
     def test_value_has_no_step(self):
         # No expression step: the statement's one step turns it into a value.
         for value in (NatLit(5), TrueLit()):
-            [step] = successors(conf(ExprStmt(value)))
-            assert step.rule == "Expr-Val"
+            [(rule, _)] = successors(conf(ExprStmt(value)))
+            assert rule == "Expr-Val"
 
     def test_left_operand_first_then_right(self):
         e = Add(Add(NatLit(1), NatLit(2)), Add(NatLit(3), NatLit(4)))
@@ -147,12 +147,12 @@ class TestStatementRules:
     def test_begin_desugars_keeping_stores(self):
         store = nat_store(a=3, b=5)
         c = conf(parse_program("begin var Nat a := 4; b := 2 end"), store)
-        [step] = successors(c)
-        assert step.rule == "Begin"
-        assert pretty(step.next.stmt) == \
+        [(rule, nxt)] = successors(c)
+        assert rule == "Begin"
+        assert pretty(nxt.stmt) == \
             "beginscope; var Nat a := 4; b := 2; endscope"
-        assert step.next.store == store
-        assert step.next.procs == c.procs
+        assert nxt.store == store
+        assert nxt.procs == c.procs
 
     def test_terminal_has_no_successors(self):
         assert successors(conf(VOID)) == []
@@ -161,87 +161,90 @@ class TestStatementRules:
         assert not is_terminal(conf(Update("x", Var("y"))))
 
     def test_empty_steps_to_void(self):
-        [step] = successors(conf(Empty()))
-        assert (step.rule, step.next.stmt) == ("Empty", VOID)
+        [(rule, nxt)] = successors(conf(Empty()))
+        assert (rule, nxt.stmt) == ("Empty", VOID)
 
     def test_while_unfolds_unconditionally(self):
         w = While(Eq(Var("y"), NatLit(0)), Update("y", NatLit(1))) \
             if False else parse_program("while y = 0 do y := 1")
-        [step] = successors(conf(w))
-        assert step.rule == "While"
-        assert step.next.stmt == If(w.cond, Seq(w.body, w), VOID)
+        [(rule, nxt)] = successors(conf(w))
+        assert rule == "While"
+        assert nxt.stmt == If(w.cond, Seq(w.body, w), VOID)
 
     def test_if_on_literals(self):
-        [step] = successors(conf(If(TrueLit(), Update("a", NatLit(1)), VOID)))
-        assert step.rule == "If-True"
-        [step] = successors(conf(If(FalseLit(), VOID, Update("a", NatLit(1)))))
-        assert step.rule == "If-False"
-        assert step.next.stmt == Update("a", NatLit(1))
+        [(rule, _)] = successors(
+            conf(If(TrueLit(), Update("a", NatLit(1)), VOID)))
+        assert rule == "If-True"
+        [(rule, nxt)] = successors(
+            conf(If(FalseLit(), VOID, Update("a", NatLit(1)))))
+        assert rule == "If-False"
+        assert nxt.stmt == Update("a", NatLit(1))
 
     def test_assign_declares_and_yields_void(self):
         c = conf(Decl(NAT, "x", NatLit(1)))
-        [step] = successors(c)
-        assert step.rule == "Assign"
-        assert step.next.stmt == VOID
-        assert render_store(step.next.store) == "({x=1})"
+        [(rule, nxt)] = successors(c)
+        assert rule == "Assign"
+        assert nxt.stmt == VOID
+        assert render_store(nxt.store) == "({x=1})"
 
     def test_assign_has_no_runtime_type_check(self):
-        [step] = successors(conf(Decl(NAT, "x", TrueLit())))
-        assert render_store(step.next.store) == "({x=true})"
+        [(_, nxt)] = successors(conf(Decl(NAT, "x", TrueLit())))
+        assert render_store(nxt.store) == "({x=true})"
 
     def test_scope_markers(self):
-        [step] = successors(conf(BeginScope()))
-        assert step.rule == "BeginScope"
-        assert step.next.store.depth() == 2
-        assert step.next.procs.depth() == 2
-        c2 = step.next
-        [step2] = successors(Configuration(c2.store, c2.procs, EndScope()))
-        assert step2.rule == "EndScope"
-        assert step2.next.store.depth() == 1
+        [(rule, nxt)] = successors(conf(BeginScope()))
+        assert rule == "BeginScope"
+        assert nxt.store.depth() == 2
+        assert nxt.procs.depth() == 2
+        c2 = nxt
+        [(rule2, nxt2)] = successors(
+            Configuration(c2.store, c2.procs, EndScope()))
+        assert rule2 == "EndScope"
+        assert nxt2.store.depth() == 1
 
     def test_call_substitutes_body(self):
         body = Update("w", NatLit(1))
         procs = Env(((("z", body),),))
-        [step] = successors(conf(Call("z"), nat_store(w=0), procs))
-        assert (step.rule, step.next.stmt) == ("Call", body)
-        assert step.next.store == nat_store(w=0)
+        [(rule, nxt)] = successors(conf(Call("z"), nat_store(w=0), procs))
+        assert (rule, nxt.stmt) == ("Call", body)
+        assert nxt.store == nat_store(w=0)
 
     def test_seq_head_stepping_to_void_discharges(self):
         c = conf(Seq(Decl(NAT, "x", NatLit(1)), Update("x", NatLit(2))))
-        [step] = successors(c)
-        assert step.rule == "Seq2/Assign"
-        assert step.next.stmt == Update("x", NatLit(2))
+        [(rule, nxt)] = successors(c)
+        assert rule == "Seq2/Assign"
+        assert nxt.stmt == Update("x", NatLit(2))
 
     def test_seq_head_stepping_elsewhere_stays(self):
         c = conf(Seq(Update("x", Var("y")), VOID), nat_store(x=0, y=7))
-        [step] = successors(c)
-        assert step.rule == "Seq1/Expr-Var"
-        assert step.next.stmt == Seq(Update("x", NatLit(7)), VOID)
+        [(rule, nxt)] = successors(c)
+        assert rule == "Seq1/Expr-Var"
+        assert nxt.stmt == Seq(Update("x", NatLit(7)), VOID)
 
     def test_seq_value_head_discharge_rule(self):
         c = conf(Seq(ValStmt(NatLit(3)), Update("x", NatLit(1))))
-        [step] = successors(c)
-        assert step.rule == "Seq-discharge"
-        assert step.next.stmt == Update("x", NatLit(1))
+        [(rule, nxt)] = successors(c)
+        assert rule == "Seq-discharge"
+        assert nxt.stmt == Update("x", NatLit(1))
 
     def test_protect_acquires(self):
         body = Update("x", NatLit(2))
-        [step] = successors(conf(Protect(body), nat_store(x=0)))
-        assert (step.rule, step.next.stmt) == ("Protect", Protected(body))
+        [(rule, nxt)] = successors(conf(Protect(body), nat_store(x=0)))
+        assert (rule, nxt.stmt) == ("Protect", Protected(body))
 
     def test_protected_releases_on_value(self):
-        [step] = successors(conf(Protected(VOID)))
-        assert (step.rule, step.next.stmt) == ("Protected", VOID)
+        [(rule, nxt)] = successors(conf(Protected(VOID)))
+        assert (rule, nxt.stmt) == ("Protected", VOID)
 
     def test_protected_body_steps_without_label_component(self):
         c = conf(Protected(Update("x", NatLit(2))), nat_store(x=0))
-        [step] = successors(c)
-        assert step.rule == "Update"
-        assert step.next.stmt == Protected(VOID)
+        [(rule, nxt)] = successors(c)
+        assert rule == "Update"
+        assert nxt.stmt == Protected(VOID)
 
     def test_expr_stmt_discharges_to_value(self):
-        [step] = successors(conf(ExprStmt(NatLit(3))))
-        assert (step.rule, step.next.stmt) == ("Expr-Val", ValStmt(NatLit(3)))
+        [(rule, nxt)] = successors(conf(ExprStmt(NatLit(3))))
+        assert (rule, nxt.stmt) == ("Expr-Val", ValStmt(NatLit(3)))
 
 
 class TestParRules:
@@ -249,60 +252,61 @@ class TestParRules:
         c = conf(Par(Update("x", NatLit(1)), Update("x", NatLit(2))),
                  nat_store(x=0))
         steps = successors(c)
-        assert [s.rule for s in steps] == ["Par2/Update", "Par4/Update"]
-        assert steps[0].next.stmt == Update("x", NatLit(2))
-        assert steps[1].next.stmt == Update("x", NatLit(1))
+        assert [rule for rule, _ in steps] == ["Par2/Update", "Par4/Update"]
+        assert steps[0][1].stmt == Update("x", NatLit(2))
+        assert steps[1][1].stmt == Update("x", NatLit(1))
 
     def test_left_preferred_in_order(self):
         c = conf(Par(Update("x", Var("y")), Update("x", NatLit(2))),
                  nat_store(x=0, y=1))
         steps = successors(c)
-        assert steps[0].rule.startswith("Par1/")
-        assert steps[1].rule.startswith("Par4/")
+        assert steps[0][0].startswith("Par1/")
+        assert steps[1][0].startswith("Par4/")
 
     def test_protected_left_blocks_right(self):
         c = conf(Par(Protected(Update("x", NatLit(2))), Update("x", NatLit(6))),
                  nat_store(x=0))
         steps = successors(c)
         assert len(steps) == 1
-        assert steps[0].rule == "Par1/Update"
-        assert steps[0].next.stmt == Par(Protected(VOID), Update("x", NatLit(6)))
+        [(rule, nxt)] = steps
+        assert rule == "Par1/Update"
+        assert nxt.stmt == Par(Protected(VOID), Update("x", NatLit(6)))
 
     def test_unacquired_protect_does_not_block(self):
         c = conf(Par(Protect(Update("x", NatLit(2))), Update("x", NatLit(6))),
                  nat_store(x=0))
-        rules = [s.rule for s in successors(c)]
+        rules = [rule for rule, _ in successors(c)]
         assert rules == ["Par1/Protect", "Par4/Update"]
 
     def test_value_sides_leave_the_composition(self):
         c = conf(Par(Update("x", NatLit(1)), Update("x", NatLit(2))),
                  nat_store(x=0))
-        left_first = successors(c)[0]
-        assert left_first.rule == "Par2/Update"
-        assert left_first.next.stmt == Update("x", NatLit(2))
+        rule, left_first = successors(c)[0]
+        assert rule == "Par2/Update"
+        assert left_first.stmt == Update("x", NatLit(2))
 
     def test_nested_par_labels(self):
         c = conf(Par(Par(Update("x", Var("y")), VOID), Update("x", NatLit(2))),
                  nat_store(x=0, y=1))
-        rules = [s.rule for s in successors(c)]
+        rules = [rule for rule, _ in successors(c)]
         assert "Par1/Par1/Expr-Var" in rules
         assert "Par4/Update" in rules
 
     def test_nested_value_collapse_cascades(self):
         c = conf(Par(Par(Update("x", NatLit(1)), VOID), Update("x", NatLit(2))),
                  nat_store(x=0))
-        rules = [s.rule for s in successors(c)]
+        rules = [rule for rule, _ in successors(c)]
         assert "Par2/Par2/Update" in rules
 
     def test_two_regions_serialize(self):
         left = Protect(Update("x", NatLit(1)))
         right = Protect(Update("x", NatLit(2)))
         c = conf(Par(left, right), nat_store(x=0))
-        rules = {s.rule for s in successors(c)}
+        rules = {rule for rule, _ in successors(c)}
         assert rules == {"Par1/Protect", "Par3/Protect"}
-        acquired_left = next(s.next for s in successors(c)
-                             if s.rule == "Par1/Protect")
-        rules2 = [s.rule for s in successors(acquired_left)]
+        acquired_left = next(nxt for rule, nxt in successors(c)
+                             if rule == "Par1/Protect")
+        rules2 = [rule for rule, _ in successors(acquired_left)]
         assert rules2 == ["Par1/Update"]
 
 
@@ -357,8 +361,8 @@ class TestStuckness:
     def test_one_stuck_side_does_not_block_the_other(self):
         c = conf(Par(Update("q", NatLit(1)), Update("x", NatLit(2))),
                  nat_store(x=0))
-        [step] = successors(c)
-        assert step.rule == "Par4/Update"
+        [(rule, _)] = successors(c)
+        assert rule == "Par4/Update"
         assert diagnose(c) is None
 
 
@@ -410,11 +414,11 @@ class TestInvariants:
     @given(runtime_stmts)
     def test_store_preserving_axioms(self, stmt):
         c = Configuration(SEEDED_STORE, Env(), stmt)
-        for step in successors(c):
-            axiom = step.rule.rsplit("/", 1)[-1]
+        for rule, nxt in successors(c):
+            axiom = rule.rsplit("/", 1)[-1]
             if axiom in STORE_PRESERVING_AXIOMS or axiom.startswith("Expr-"):
-                assert step.next.store == c.store
-                assert step.next.procs == c.procs
+                assert nxt.store == c.store
+                assert nxt.procs == c.procs
 
     @settings(max_examples=300, deadline=None)
     @given(parfree_runtime_stmts)
@@ -426,8 +430,8 @@ class TestInvariants:
     @given(runtime_stmts)
     def test_successors_never_raise(self, stmt):
         c = Configuration(SEEDED_STORE, Env(), stmt)
-        for step in successors(c):
-            assert isinstance(step.rule, str)
+        for rule, _ in successors(c):
+            assert isinstance(rule, str)
 
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -463,14 +467,14 @@ class TestStepMatchesOracle:
 
 def _one_of_each():
     """One instance of every statement, expression and value class, with
-    each field None (no class checks its fields), and of the store, step
-    and configuration records."""
+    each field None (no class checks its fields), and of the store,
+    configuration and stuck records."""
     classes = {*get_args(Stmt), *get_args(Expr), *get_args(Value)}
     for cls in sorted(classes, key=lambda c: c.__name__):
         yield cls(*[None] * len(fields(cls)))
     c = Configuration(Env(), Env(), VOID)
     info = StuckInfo(VOID, "no applicable reduction")
-    yield from (Env(), c, StepResult("Seq2", c), info)
+    yield from (Env(), c, info)
     gamma, delta = TypeEnv((("x", NAT),)), ProcTypeEnv()
     yield from (gamma, delta,
                 Judgment("T-Empty", gamma, delta, Empty(), TypeName.CMD,
@@ -510,7 +514,7 @@ RECORD_FIELDS = {
     BeginScope: (), EndScope: (), ExprStmt: ("expr",), ValStmt: ("value",),
     Empty: (),
     Env: ("frames",),
-    Configuration: ("store", "procs", "stmt"), StepResult: ("rule", "next"),
+    Configuration: ("store", "procs", "stmt"),
     StuckInfo: ("at", "reason"),
     TypeEnv: ("bindings",), ProcTypeEnv: ("entries",),
     Judgment: ("rule", "gamma_in", "delta_in", "subject", "type",
