@@ -14,6 +14,12 @@ partial-order and symmetry reduced one, which has the same leaves, so its
 sorted order). Its stuck lines list every stuck redex of each stuck leaf;
 `run` and `trace` report the first.
 
+`run` and `trace` hold one configuration at a time, not the whole run:
+`run` keeps the last step, and `trace` builds each JSON line as its step
+comes. Every artifact is written only once it is complete, so a run or a
+printout that fails partway (exit 4) writes no `--out` file and nothing
+to standard output.
+
 `main` builds its argument parser once per process (`parse_args` leaves
 it as it was, so one serves every call) and runs each command with the
 cyclic garbage collector off, restoring the caller's setting on every
@@ -29,14 +35,19 @@ import argparse
 import functools
 import gc
 import sys
+from collections import deque
 from pathlib import Path
 
 from . import env as envmod
 from .env import Env, render_store
 from .explorer import (
     DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, DEFAULT_MAX_STEPS, BudgetExceeded,
-    Stuck, Terminated, explore, outcomes, run, to_dot, to_json_trace,
+    Stuck, Terminated, dot_chunks, explore, json_trace_chunks, outcomes,
+    run_steps,
 )
+# Not called here, but perfbench/spans.py wraps these names in this module
+# when it traces a benchmark run.
+from .explorer import run, to_dot, to_json_trace  # noqa: F401
 from .parser import ParseError, parse_program
 from .semantics import Configuration, NumeralOverflow
 from .syntax import pretty, value_text
@@ -116,15 +127,18 @@ def _reason(err: OSError | UnicodeError) -> str:
     return getattr(err, "strerror", None) or str(err)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: list[str], out: str | None) -> None:
+    """Write a complete artifact, chunk by chunk, so that it is never
+    copied or encoded whole."""
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                f.writelines(chunks)
         except OSError as err:
             raise _UsageError(f"cannot write {out}: {_reason(err)}") from None
     else:
         try:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except (OSError, UnicodeError) as err:
             raise _UsageError(
@@ -189,40 +203,45 @@ def _main(argv: list[str] | None) -> int:
             print(err, file=sys.stderr)
             return EXIT_TYPE
     if args.command == "parse":
-        _emit(pretty(stmt) + "\n", args.out)
+        _emit([pretty(stmt), "\n"], args.out)
         return EXIT_OK
     if args.command == "check":
         if args.emit_derivation:
-            _emit(render_derivation(judgment), args.out)
+            _emit([render_derivation(judgment)], args.out)
         else:
-            _emit(f"ok: {judgment.type}\n", args.out)
+            _emit([f"ok: {judgment.type}\n"], args.out)
         return EXIT_OK
 
     c0 = _initial_configuration(args, stmt)
     if args.command in ("run", "trace"):
-        trace = run(c0, schedule=args.schedule, seed=args.seed,
-                    max_steps=args.max_steps)
+        # No step is kept: `trace` builds each line as its step comes, and
+        # `run` holds the last step and the status.
+        items = run_steps(c0, args.schedule, args.seed, args.max_steps)
         if args.command == "trace":
-            _emit(to_json_trace(trace), args.out)
-        match trace.status:
+            chunks, status = json_trace_chunks(items)
+            _emit(chunks, args.out)
+        else:
+            last = deque(items, maxlen=2)
+            status = last.pop()
+        match status:
             case Terminated(value):
                 if args.command == "run":
-                    final = trace.steps[-1][1] if trace.steps else trace.origin
-                    _emit(f"{value_text(value)} {render_store(final.store)}\n",
+                    final = last[0][1] if last else c0
+                    _emit([f"{value_text(value)} {render_store(final.store)}\n"],
                           args.out)
                 return EXIT_OK
             case Stuck(info):
                 print(f"stuck: {info.reason}", file=sys.stderr)
                 return EXIT_STUCK
             case BudgetExceeded():
-                print(f"budget exceeded after {len(trace.steps)} steps",
+                print(f"budget exceeded after {args.max_steps} steps",
                       file=sys.stderr)
                 return EXIT_BUDGET
 
     graph = explore(c0, max_states=args.max_states, max_depth=args.max_depth,
                     reduce=args.command == "outcomes")
     if args.command == "graph":
-        _emit(to_dot(graph), args.out)
+        _emit(dot_chunks(graph), args.out)
         return EXIT_BUDGET if graph.truncated else EXIT_OK
     if args.command == "outcomes":
         summary = outcomes(graph)
@@ -231,7 +250,7 @@ def _main(argv: list[str] | None) -> int:
                                         key=lambda p: (p[1], value_text(p[0])))]
         lines += sorted(f"stuck: {info.reason}" for info in summary.stuck)
         lines.append(f"complete: {'true' if summary.complete else 'false'}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
         return EXIT_BUDGET if graph.truncated else EXIT_OK
     raise AssertionError(args.command)
 

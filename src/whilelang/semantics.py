@@ -191,12 +191,21 @@ def contract_stmt(store: Env, procs: Env, redex: Stmt) \
     raise TypeError(f"not a statement redex: {redex!r}")
 
 
+# One string per rule label, so that the steps of a trace and the edges of
+# a graph share it. A label is the path of frames a step passes, so a
+# program has few. `sys.intern` would not do: CPython drops an interned
+# string once nothing else holds it, so a run that keeps no step would
+# intern each label anew and keep resizing the interpreter's table.
+_LABELS: dict[str, str] = {}
+
+
 def _rebuild(ctx: EvalContext, filled: Redex, axiom: str, store: Env,
              procs: Env) -> tuple[str, Configuration]:
     """Wrap the contractum back up through the context, applying the value
     collapses of the sequencing and parallelism rules, into the step: the
-    rule-name path and the configuration with the given stores."""
-    components: list[str] = []
+    rule-name path, taken from `_LABELS`, and the configuration with the
+    given stores."""
+    rule = axiom
     current = filled
     for node, field in reversed(ctx):
         cls = type(node)
@@ -204,21 +213,20 @@ def _rebuild(ctx: EvalContext, filled: Redex, axiom: str, store: Env,
             # Class tests, not `== VOID_STMT`: this runs once per frame
             # of every step, and dataclass __eq__ builds two tuples.
             if type(current) is ValStmt and type(current.value) is VoidV:
-                components.append("Seq2")
+                rule = "Seq2/" + rule
                 current = node.second
                 continue
-            components.append("Seq1")
+            rule = "Seq1/" + rule
         elif cls is Par:
             left = field == "left"
             if type(current) is ValStmt:
-                components.append("Par2" if left else "Par4")
+                rule = ("Par2/" if left else "Par4/") + rule
                 current = node.right if left else node.left
                 continue
-            components.append("Par1" if left else "Par3")
+            rule = ("Par1/" if left else "Par3/") + rule
         current = plug_frame(node, field, current)
-    components.reverse()
-    components.append(axiom)
-    return "/".join(components), Configuration(store, procs, current)
+    return (_LABELS.setdefault(rule, rule),
+            Configuration(store, procs, current))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -18,8 +19,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strategies import source_stmts
 from whilelang import cli
-from whilelang.parser import KEYWORDS
+from whilelang.env import Env, render_store
+from whilelang.explorer import (
+    DEFAULT_MAX_STEPS, Stuck, Terminated, explore, run, to_json_trace,
+)
+from whilelang.parser import KEYWORDS, parse_program
+from whilelang.semantics import Configuration, NumeralOverflow
+from whilelang.syntax import pretty, value_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -818,3 +826,176 @@ class TestOldestPython:
         # failures), and the traces of the two counterexamples, which end
         # stuck.
         assert [code for code, _, _ in expected].count(0) == len(argvs) - 9
+
+
+def _in_process(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _trace_based(c0, command, schedule, seed, max_steps):
+    """What `run` and `trace` print when the whole `Trace` is built first:
+    (exit code, stdout, stderr)."""
+    try:
+        t = run(c0, schedule=schedule, seed=seed, max_steps=max_steps)
+    except NumeralOverflow as err:
+        return 4, "", f"whilelang: error: {err}\n"
+    out = to_json_trace(t) if command == "trace" else ""
+    if isinstance(t.status, Terminated):
+        if command == "run":
+            final = t.steps[-1][1] if t.steps else t.origin
+            out = f"{value_text(t.status.value)} {render_store(final.store)}\n"
+        return 0, out, ""
+    if isinstance(t.status, Stuck):
+        return 3, out, f"stuck: {t.status.info.reason}\n"
+    return 4, out, f"budget exceeded after {len(t.steps)} steps\n"
+
+
+def _assert_streamed_matches_trace(directory, source, schedule, seed,
+                                   max_steps):
+    program = directory / "streamed.whl"
+    program.write_text(source, encoding="utf-8")
+    c0 = Configuration(Env(), Env(), parse_program(source))
+    flags = ["--schedule", schedule, "--seed", str(seed),
+             "--max-steps", str(max_steps)]
+    for command in ("run", "trace"):
+        code, out, err = _trace_based(c0, command, schedule, seed, max_steps)
+        assert _in_process([command, str(program), *flags]) == (code, out, err)
+        target = directory / f"{command}.out"
+        assert _in_process([command, str(program), *flags,
+                            "--out", str(target)]) == (code, "", err)
+        # `--out` is written exactly when standard output would be.
+        assert target.exists() == bool(out)
+        if out:
+            assert target.read_text(encoding="utf-8") == out
+            target.unlink()
+
+
+class TestStreamedRunMatchesTrace:
+    """`run` and `trace` keep no `Trace`: they print what they printed when
+    they built one, byte for byte, with the same exit code and stderr."""
+
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "programs").glob("**/*.whl")),
+        ids=lambda p: str(p.relative_to(ROOT / "programs")))
+    def test_corpus(self, tmp_path, path):
+        source = path.read_text(encoding="utf-8")
+        for schedule, seed in [("first", 0), ("random", 0), ("random", 1),
+                               ("random", 7)]:
+            # The default budget, and one that cuts most programs short.
+            for max_steps in (DEFAULT_MAX_STEPS, 7):
+                _assert_streamed_matches_trace(tmp_path, source, schedule,
+                                               seed, max_steps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(source_stmts, st.sampled_from(["first", "random"]),
+           st.integers(0, 2 ** 16), st.sampled_from([1, 5, 40, 300]))
+    def test_generated_programs(self, fuzz_dir, stmt, schedule, seed,
+                                max_steps):
+        _assert_streamed_matches_trace(fuzz_dir, pretty(stmt), schedule,
+                                       seed, max_steps)
+
+    def test_every_end(self, tmp_path):
+        ends = {
+            "var Nat x := 0; while x <= 3 do x := x + 1": 0,
+            "var Nat x := 0; x := y": 3,
+            "var Nat x := 0; while true do x := x + 1": 4,
+            TestNumeralBound.SQUARING: 4,
+        }
+        for source, code in ends.items():
+            program = tmp_path / "end.whl"
+            program.write_text(source, encoding="utf-8")
+            assert _in_process(["run", str(program)])[0] == code
+            _assert_streamed_matches_trace(tmp_path, source, "first", 0,
+                                           DEFAULT_MAX_STEPS)
+
+
+class TestNoPartialOutput:
+    """An artifact is written only once it is complete: a command that
+    fails partway writes no `--out` file and nothing to standard output."""
+
+    @pytest.mark.parametrize("command,program", [
+        ("trace", "var Nat b := 2; while true do b := b * b"),
+        # The printer recurses once per statement of the line.
+        ("trace", _load_perfbench("workloads").straight_line("x", 1000)),
+        # Deduplication hashes the line once per statement.
+        ("graph", _load_perfbench("workloads").straight_line("x", 2000)),
+    ], ids=["trace-numeral", "trace-1000-line", "graph-2000-line"])
+    def test_failure_partway_writes_nothing(self, tmp_program, tmp_path,
+                                            command, program):
+        path = tmp_program(program)
+        target = tmp_path / "artifact"
+        for out in (["--out", str(target)], []):
+            r = whilelang(command, path, *out)
+            assert r.returncode == 4
+            assert r.stdout == ""
+            assert r.stderr.count("\n") == 1
+            assert not target.exists()
+
+    def test_run_of_the_1000_line(self, tmp_program):
+        # `run` prints no statement, so the same line runs to the end.
+        r = whilelang("run", tmp_program(
+            _load_perfbench("workloads").straight_line("x", 1000)))
+        assert (r.returncode, r.stdout, r.stderr) == (0, "void ({x=500500})\n",
+                                                      "")
+
+    @pytest.mark.parametrize("command", ["run", "trace", "graph"])
+    def test_out_to_the_null_device(self, tmp_program, command):
+        prog = tmp_program("var Nat x := 0; { x := 1 par x := 2 }")
+        r = whilelang(command, prog, "--out", os.devnull)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+
+
+def _traced_peak(argv):
+    """(exit code, tracemalloc peak in bytes) of one quiet `main` call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = quiet_main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MB = 2 ** 20
+
+
+class TestExportMemory:
+    """Memory the export commands use beyond their inputs and artifact."""
+
+    def test_run_does_not_grow_with_the_step_count(self, tmp_program):
+        prog = tmp_program("var Nat x := 0; while true do x := x + 1")
+        peaks = []
+        for steps in (10_000, 100_000):
+            code, peak = _traced_peak(["run", prog, "--max-steps", str(steps)])
+            assert code == 4
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 1 * MB
+
+    def test_trace_holds_its_text_about_once(self, tmp_program, tmp_path):
+        prog = tmp_program(_load_perfbench("workloads").LOOPS["loop2000"][0])
+        out = tmp_path / "trace.jsonl"
+        code, peak = _traced_peak(["trace", prog, "--out", str(out),
+                                   "--max-steps", "100000"])
+        assert code == 0
+        assert peak <= 2 * out.stat().st_size + 1 * MB
+
+    def test_graph_holds_its_text_about_once(self, tmp_program, tmp_path):
+        source = _load_perfbench("workloads").shared_program("x", 2, 5, 1)
+        c0 = Configuration(Env(), Env(), parse_program(source))
+        explore(c0)  # rule labels seen once, as in the command
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = explore(c0)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del graph
+        out = tmp_path / "graph.dot"
+        code, peak = _traced_peak(["graph", tmp_program(source),
+                                   "--out", str(out)])
+        assert code == 0
+        assert peak <= retained + 2 * out.stat().st_size

@@ -310,6 +310,24 @@ class TestJsonTrace:
         assert last["at"] == "x := 1"
 
 
+class TestRuleLabelsShared:
+    """Every step with one rule label holds one string: the edges of a
+    graph and the steps of traces share the few labels a program has."""
+
+    def test_one_string_per_label(self):
+        c = conf("var Nat x := 0; { { x := x + 1; x := x * 2 } par "
+                 "begin var Nat y := x; x := y end }")
+        labels = {}
+        edges = explore(c).edges
+        steps = [step for seed in range(3)
+                 for step in run(c, schedule="random", seed=seed).steps]
+        for rule in [rule for _, rule, _ in edges] + [r for r, _ in steps]:
+            assert labels.setdefault(rule, rule) is rule
+        # Labels that are paths through frames, not only bare axioms.
+        assert any("/" in rule for rule in labels)
+        assert len(labels) < len(edges)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self):
         c = conf("var Nat x := 0; { protect x := x + 1; x := x * 2 end } par x := 10")
